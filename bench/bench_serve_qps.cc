@@ -15,8 +15,9 @@
 // point lookup on one projection, a single-attribute scan, an attribute
 // pair plus an equality selection, and an attribute triple plus a range
 // selection; every other query is count-only. `--queries=N` is the TOTAL
-// query count per row (split across the client threads), so each row does
-// the same work and the wall times are comparable across thread counts.
+// query count per row (partitioned across the client threads), so each row
+// runs the same queries and the wall times are comparable across thread
+// counts. The harness exits 1 if a dataset's rows disagree on result_rows.
 //
 // Flags: --queries=N (default 4096), --mine-budget=S (default 5.0),
 // --json (JSONL rows for scripts/bench_trend.py; the committed
@@ -133,12 +134,12 @@ struct LoopResult {
 };
 
 // Closed loop: each of `threads` clients fires its share back-to-back.
+// Client t takes query indices i with i % threads == t, so every client
+// count runs exactly the same `total_queries` queries.
 LoopResult RunClosedLoop(const serve::QueryService& service,
                          const std::vector<serve::Query>& workload,
                          int threads, size_t total_queries) {
-  const size_t per_thread =
-      (total_queries + static_cast<size_t>(threads) - 1) /
-      static_cast<size_t>(threads);
+  const size_t clients = static_cast<size_t>(threads);
   std::atomic<uint64_t> rows{0};
   std::atomic<uint64_t> errors{0};
   std::vector<std::thread> workers;
@@ -149,9 +150,9 @@ LoopResult RunClosedLoop(const serve::QueryService& service,
     workers.emplace_back([&, t] {
       uint64_t local_rows = 0;
       uint64_t local_errors = 0;
-      for (size_t i = 0; i < per_thread; ++i) {
-        const serve::Query& q =
-            workload[(static_cast<size_t>(t) * 131 + i) % workload.size()];
+      for (size_t i = static_cast<size_t>(t); i < total_queries;
+           i += clients) {
+        const serve::Query& q = workload[i % workload.size()];
         const serve::QueryResult res = service.Execute(q);
         if (res.status.ok()) {
           local_rows += res.rows;
@@ -166,7 +167,7 @@ LoopResult RunClosedLoop(const serve::QueryService& service,
   }
   for (std::thread& w : workers) w.join();
   LoopResult out;
-  out.executed = per_thread * static_cast<size_t>(threads);
+  out.executed = total_queries;
   out.seconds = watch.ElapsedSeconds();
   out.result_rows = rows.load();
   out.errors = errors.load();
@@ -199,8 +200,10 @@ void PrintRow(const std::string& dataset, size_t rows, int cols, double eps,
 }
 
 // One dataset: build the service (snapshot reduction paid here, off the
-// measured path), then one closed-loop row per client count.
-void RunDataset(const std::string& dataset, const Relation& relation,
+// measured path), then one closed-loop row per client count. Returns false
+// when the client counts disagree on result_rows — they run the same
+// queries, so a difference is a serving bug.
+bool RunDataset(const std::string& dataset, const Relation& relation,
                 const Schema& schema, double eps, bool timed_out,
                 size_t total_queries, bool json, obs::Sink* sink) {
   serve::ServiceOptions options;
@@ -218,12 +221,25 @@ void RunDataset(const std::string& dataset, const Relation& relation,
                 "time[s]", "qps", "result_rows", "errors");
     Rule(64);
   }
+  bool consistent = true;
+  uint64_t first_rows = 0;
   for (int threads : {1, 8, 64}) {
     const LoopResult run =
         RunClosedLoop(service, workload, threads, total_queries);
     PrintRow(dataset, relation.NumRows(), relation.NumCols(), eps, threads,
              run, timed_out, json);
+    if (threads == 1) first_rows = run.result_rows;
+    if (run.result_rows != first_rows) {
+      std::fprintf(stderr,
+                   "%s: %d clients returned %llu result rows, 1 client "
+                   "%llu\n",
+                   dataset.c_str(), threads,
+                   static_cast<unsigned long long>(run.result_rows),
+                   static_cast<unsigned long long>(first_rows));
+      consistent = false;
+    }
   }
+  return consistent;
 }
 
 // Partial-vs-full reconstruction table (human mode): as the requested
@@ -257,7 +273,8 @@ void PrintPartialVsFull(const Relation& relation, const Schema& schema) {
   }
 }
 
-void Run(size_t total_queries, double mine_budget, bool json,
+// Returns false when a dataset's client counts disagree on result_rows.
+bool Run(size_t total_queries, double mine_budget, bool json,
          const std::string& trace_path, const std::string& metrics_path) {
   ObsSession obs(trace_path, metrics_path);
 
@@ -278,8 +295,9 @@ void Run(size_t total_queries, double mine_budget, bool json,
   spec.seed = 7;
   const PlantedDataset chain = GeneratePlanted(spec);
   const Schema chain_scheme = ChainScheme(chain);
-  RunDataset("serve-chain", chain.relation, chain_scheme, /*eps=*/0.0,
-             /*timed_out=*/false, total_queries, json, obs.sink());
+  bool consistent =
+      RunDataset("serve-chain", chain.relation, chain_scheme, /*eps=*/0.0,
+                 /*timed_out=*/false, total_queries, json, obs.sink());
 
   // serve-nursery: mined scheme over a Nursery sample. One mining thread
   // keeps the mined scheme deterministic; a mining TL marks the rows
@@ -303,12 +321,14 @@ void Run(size_t total_queries, double mine_budget, bool json,
     for (const MinedSchema& s : mined.schemas) {
       if (s.j_measure < best->j_measure) best = &s;
     }
-    RunDataset("serve-nursery", nursery, best->schema, config.epsilon,
-               mined.status.IsDeadlineExceeded(), total_queries, json,
-               obs.sink());
+    consistent &= RunDataset("serve-nursery", nursery, best->schema,
+                             config.epsilon,
+                             mined.status.IsDeadlineExceeded(), total_queries,
+                             json, obs.sink());
   }
 
   if (!json) PrintPartialVsFull(chain.relation, chain_scheme);
+  return consistent;
 }
 
 }  // namespace
@@ -335,7 +355,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  maimon::bench::Run(total_queries, mine_budget, json, trace_path,
-                     metrics_path);
-  return 0;
+  return maimon::bench::Run(total_queries, mine_budget, json, trace_path,
+                            metrics_path)
+             ? 0
+             : 1;
 }

@@ -72,10 +72,32 @@ DecompositionAudit DecomposeAndAudit(const Relation& relation,
 
   // Original-instance counts over the schema universe (the DP's baseline:
   // set semantics on the covered attributes), fused with the membership
-  // probe: each distinct row is checked against the reduced store — the
-  // definitional natural join test, independent of the enumeration. The
-  // sweep polls the same deadline as the join phases (every 1024 rows).
+  // probe: each distinct row t is checked against the reduced store by the
+  // definition of the natural join, ∀i: π_Ri(t) ∈ P_i — independent of
+  // the enumeration. The sweep polls the same deadline as the join phases
+  // (every 1024 rows).
   obs::Span probe_span(options.sink, "audit.probe");
+  const std::vector<StoredProjection> reduced = executor.ReducedProjections();
+  std::vector<std::unordered_set<std::string>> present(reduced.size());
+  for (size_t i = 0; i < reduced.size(); ++i) {
+    present[i].reserve(reduced[i].NumRows());
+    for (const std::vector<uint32_t>& row : reduced[i].rows) {
+      present[i].insert(PackFullTupleKey(row));
+    }
+  }
+  std::vector<uint32_t> projected;
+  const auto in_join = [&](size_t r) {
+    for (size_t i = 0; i < reduced.size(); ++i) {
+      const std::vector<int>& cols = reduced[i].columns;
+      projected.resize(cols.size());
+      for (size_t k = 0; k < cols.size(); ++k) {
+        projected[k] = relation.Value(r, cols[k]);
+      }
+      if (present[i].count(PackFullTupleKey(projected)) == 0) return false;
+    }
+    return true;
+  };
+
   const AttrSet universe = schema.UniverseAttrs();
   const std::vector<int> universe_cols = universe.ToVector();
   std::unordered_set<std::string> distinct;
@@ -91,7 +113,7 @@ DecompositionAudit DecomposeAndAudit(const Relation& relation,
       tuple[i] = relation.Value(r, universe_cols[i]);
     }
     if (!distinct.insert(PackFullTupleKey(tuple)).second) continue;
-    contains = contains && executor.ContainsRow(relation, r);
+    contains = contains && in_join(r);
   }
   audit.original_distinct = distinct.size();
 

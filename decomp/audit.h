@@ -38,7 +38,7 @@ struct DecompAuditOptions {
   /// audit itself never needs them).
   bool materialize = false;
   /// Worker threads for the semijoin reducer (YannakakisOptions semantics:
-  /// 1 = sequential, 0 = all hardware threads). The reduced store and the
+  /// 1 = inline, 0 = all hardware threads). The reduced store and the
   /// join are byte-identical at any value. Maimon::DecomposeAndAudit
   /// passes its MaimonConfig::num_threads here.
   int num_threads = 1;

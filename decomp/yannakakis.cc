@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <memory>
+#include <numeric>
+#include <unordered_set>
 #include <utility>
 
 #include "util/thread_pool.h"
@@ -11,41 +15,48 @@
 namespace maimon {
 namespace {
 
-// Positions (within `columns`) of the attributes in `shared`.
-std::vector<int> SharedPositions(const std::vector<int>& columns,
-                                 AttrSet shared) {
-  std::vector<int> out;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    if (shared.Contains(columns[i])) out.push_back(static_cast<int>(i));
+std::vector<int> AllNodes(const ProjectionStore& store) {
+  std::vector<int> nodes(store.NumProjections());
+  std::iota(nodes.begin(), nodes.end(), 0);
+  return nodes;
+}
+
+std::vector<std::vector<uint32_t>> AllRows(const ProjectionStore& store) {
+  std::vector<std::vector<uint32_t>> live(store.NumProjections());
+  for (size_t v = 0; v < live.size(); ++v) {
+    live[v].resize(store.projections()[v].NumRows());
+    std::iota(live[v].begin(), live[v].end(), 0u);
   }
-  return out;
+  return live;
 }
 
 }  // namespace
 
-YannakakisExecutor::YannakakisExecutor(const ProjectionStore& store) {
-  const std::vector<StoredProjection>& projections = store.projections();
+YannakakisExecutor::YannakakisExecutor(const ProjectionStore& store)
+    : YannakakisExecutor(store, AllNodes(store), AllRows(store)) {}
+
+YannakakisExecutor::YannakakisExecutor(
+    const ProjectionStore& store, const std::vector<int>& nodes,
+    std::vector<std::vector<uint32_t>> live) {
   std::vector<AttrSet> rels;
-  rels.reserve(projections.size());
-  for (const StoredProjection& p : projections) rels.push_back(p.attrs);
+  rels.reserve(nodes.size());
+  nodes_.resize(nodes.size());
+  for (size_t v = 0; v < nodes.size(); ++v) {
+    nodes_[v].proj = &store.projections()[static_cast<size_t>(nodes[v])];
+    nodes_[v].live = std::move(live[v]);
+    rels.push_back(nodes_[v].proj->attrs);
+  }
   tree_ = BuildMaxOverlapJoinTree(rels);
 
   AttrSet universe;
-  nodes_.resize(projections.size());
-  for (size_t v = 0; v < projections.size(); ++v) {
-    nodes_[v].attrs = projections[v].attrs;
-    nodes_[v].columns = projections[v].columns;
-    nodes_[v].domains = projections[v].domains;
-    nodes_[v].tuples = projections[v].rows;
-    universe = universe.Union(projections[v].attrs);
+  for (size_t v = 0; v < nodes_.size(); ++v) {
+    universe = universe.Union(rels[v]);
     const int parent = tree_.parent[v];
     if (parent >= 0) {
-      nodes_[v].sep_positions = SharedPositions(
-          nodes_[v].columns,
-          projections[v].attrs.Intersect(
-              projections[static_cast<size_t>(parent)].attrs));
+      nodes_[v].sep_positions =
+          PositionsOf(nodes_[v].proj->columns,
+                      rels[v].Intersect(rels[static_cast<size_t>(parent)]));
     }
-    RebuildKeys(&nodes_[v]);
   }
 
   out_columns_ = universe.ToVector();
@@ -55,17 +66,9 @@ YannakakisExecutor::YannakakisExecutor(const ProjectionStore& store) {
   }
   out_positions_.resize(nodes_.size());
   for (size_t v = 0; v < nodes_.size(); ++v) {
-    for (int c : nodes_[v].columns) {
+    for (int c : nodes_[v].proj->columns) {
       out_positions_[v].push_back(slot_of[static_cast<size_t>(c)]);
     }
-  }
-}
-
-void YannakakisExecutor::RebuildKeys(Node* node) const {
-  node->keys.clear();
-  node->keys.reserve(node->tuples.size());
-  for (const auto& tuple : node->tuples) {
-    node->keys.insert(PackFullTupleKey(tuple));
   }
 }
 
@@ -87,214 +90,117 @@ Status YannakakisExecutor::Reduce(const Deadline* deadline, int num_threads,
 
 Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
                                       int num_threads, obs::Sink* sink) {
-  // Semijoin node `v` with the separator keys of `other` (already packed):
-  // keep only tuples whose separator projection appears in `other`. Order-
-  // preserving, so the reduced tuple lists are scheduling-independent.
-  // `dropped` is the caller's counter slot (per-node under parallelism).
-  // The deadline is polled every 1024 tuples — a single huge node must not
-  // overrun a per-query budget by a whole level. Returns true on expiry;
-  // the unexamined tail is kept unfiltered, so the node stays a valid
-  // (merely under-reduced) projection.
-  const auto semijoin = [&](size_t v, const std::vector<int>& positions,
-                            const std::unordered_set<std::string>& other,
-                            uint64_t* dropped) -> bool {
-    Node& node = nodes_[v];
-    std::vector<std::vector<uint32_t>> kept;
-    kept.reserve(node.tuples.size());
-    uint64_t polls = 0;
-    for (size_t t = 0; t < node.tuples.size(); ++t) {
-      if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) {
-        for (size_t u = t; u < node.tuples.size(); ++u) {
-          kept.push_back(std::move(node.tuples[u]));
-        }
-        node.tuples = std::move(kept);
-        return true;
-      }
-      auto& tuple = node.tuples[t];
-      if (other.count(PackTupleKey(tuple, positions)) > 0) {
-        kept.push_back(std::move(tuple));
-      } else {
-        ++*dropped;
-      }
+  // Depth levels (parent precedes child in preorder, so one sweep fills
+  // them; a level keeps preorder order). Nodes of one level have disjoint
+  // state and only read levels already final, so a level's tasks may run
+  // in any order or concurrently with the same result.
+  std::vector<int> depth(nodes_.size(), 0);
+  std::vector<std::vector<size_t>> levels;
+  size_t widest_level = 0;
+  for (int pv : tree_.preorder) {
+    const size_t v = static_cast<size_t>(pv);
+    if (tree_.parent[v] >= 0) {
+      depth[v] = depth[static_cast<size_t>(tree_.parent[v])] + 1;
     }
-    node.tuples = std::move(kept);
-    return false;
-  };
-  // Builds the separator key set of `v` into `*keys`. Returns false on
-  // mid-build expiry — the partial set must never be semijoined against
-  // (it would drop tuples that do have partners).
-  const auto sep_keys = [&](size_t v, const std::vector<int>& positions,
-                            std::unordered_set<std::string>* keys) -> bool {
-    keys->reserve(nodes_[v].tuples.size());
+    const size_t d = static_cast<size_t>(depth[v]);
+    if (levels.size() <= d) levels.resize(d + 1);
+    levels[d].push_back(v);
+    widest_level = std::max(widest_level, levels[d].size());
+  }
+  const int threads = static_cast<int>(std::min<size_t>(
+      static_cast<size_t>(ResolveNumThreads(num_threads)), widest_level));
+  // A null pool makes ParallelFor run every level inline.
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads, sink);
+
+  // Per-node tallies, summed after the barrier: each task only writes the
+  // slots of the node it filters.
+  std::vector<uint64_t> dropped(nodes_.size(), 0);
+  std::vector<uint64_t> passes(nodes_.size(), 0);
+  std::atomic<bool> expired{false};
+
+  // Semijoin `target` with `source` on their separator: keep only the live
+  // rows of `target` whose separator projection appears among the live
+  // rows of `source`. Order-preserving, so the reduced id lists are
+  // schedule-independent. The deadline is polled every 1024 ids — a single
+  // huge node must not overrun a per-query budget by a whole level.
+  // Returns false on expiry: a mid-build key set is never used (it would
+  // drop rows that do have partners), and a mid-filter node keeps its
+  // unexamined tail, so it stays a valid (merely under-reduced) selection.
+  const auto semijoin = [&](size_t target, size_t source) -> bool {
+    Node& node = nodes_[target];
+    const Node& other = nodes_[source];
+    const AttrSet sep = node.proj->attrs.Intersect(other.proj->attrs);
     uint64_t polls = 0;
-    for (const auto& tuple : nodes_[v].tuples) {
+    std::unordered_set<std::string> keys;
+    keys.reserve(other.live.size());
+    const std::vector<int> source_positions =
+        PositionsOf(other.proj->columns, sep);
+    for (uint32_t r : other.live) {
       if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) return false;
-      keys->insert(PackTupleKey(tuple, positions));
+      keys.insert(PackTupleKey(other.proj->rows[r], source_positions));
     }
+    ++passes[target];
+    const std::vector<int> target_positions =
+        PositionsOf(node.proj->columns, sep);
+    std::vector<uint32_t>& live = node.live;
+    size_t kept = 0;
+    for (size_t i = 0; i < live.size(); ++i) {
+      if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) {
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(kept),
+                   live.begin() + static_cast<std::ptrdiff_t>(i));
+        return false;
+      }
+      const uint32_t r = live[i];
+      if (keys.count(PackTupleKey(node.proj->rows[r], target_positions)) > 0) {
+        live[kept++] = r;
+      } else {
+        ++dropped[target];
+      }
+    }
+    live.resize(kept);
     return true;
   };
 
-  // Depth levels (parent precedes child in preorder, so one sweep fills
-  // them; a level keeps preorder order). Nodes of one level have disjoint
-  // state and only read levels already final, which is what makes the
-  // level-parallel passes below byte-identical to the sequential ones.
-  std::vector<int> depth(nodes_.size(), 0);
-  size_t widest_level = nodes_.empty() ? 0 : 1;
-  int max_depth = 0;
-  {
-    std::vector<size_t> width(nodes_.size(), 0);
-    for (int pv : tree_.preorder) {
-      const size_t v = static_cast<size_t>(pv);
-      if (tree_.parent[v] >= 0) {
-        depth[v] = depth[static_cast<size_t>(tree_.parent[v])] + 1;
-      }
-      max_depth = std::max(max_depth, depth[v]);
-      widest_level =
-          std::max(widest_level, ++width[static_cast<size_t>(depth[v])]);
-    }
-  }
-  const int threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(ResolveNumThreads(num_threads)),
-                       widest_level));
-
-  if (threads > 1) {
-    std::vector<std::vector<size_t>> levels(static_cast<size_t>(max_depth) + 1);
-    for (int pv : tree_.preorder) {
-      const size_t v = static_cast<size_t>(pv);
-      levels[static_cast<size_t>(depth[v])].push_back(v);
-    }
-    ThreadPool pool(threads, sink);
-    std::vector<uint64_t> dropped(nodes_.size(), 0);
-    std::vector<uint64_t> passes(nodes_.size(), 0);
-    std::atomic<bool> expired{false};
-
-    // Leaf-to-root, one level at a time (barrier between levels): the task
-    // for node v filters v against each of its children, whose deeper
-    // level is already final.
-    for (int d = max_depth; d >= 0 && !expired.load(); --d) {
-      const std::vector<size_t>& level = levels[static_cast<size_t>(d)];
-      const ParallelForResult run = ParallelFor(
-          &pool, static_cast<int>(std::min<size_t>(
-                     static_cast<size_t>(threads), level.size())),
-          level.size(), deadline, [&](int, size_t i) {
-            const size_t v = level[i];
-            for (int c : tree_.children[v]) {
-              if (DeadlineExpired(deadline)) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
-              const size_t cv = static_cast<size_t>(c);
-              const AttrSet sep = nodes_[v].attrs.Intersect(nodes_[cv].attrs);
-              std::unordered_set<std::string> keys;
-              if (!sep_keys(cv, nodes_[cv].sep_positions, &keys)) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
-              ++passes[v];
-              if (semijoin(v, SharedPositions(nodes_[v].columns, sep), keys,
-                           &dropped[v])) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
+  // One level of one pass: the task for node v semijoins each child edge
+  // in order — v against the child leaf-to-root, the child against v
+  // root-to-leaf.
+  const auto run_level = [&](const std::vector<size_t>& level,
+                             bool leaf_to_root) {
+    const ParallelForResult run = ParallelFor(
+        pool.get(),
+        static_cast<int>(
+            std::min<size_t>(static_cast<size_t>(threads), level.size())),
+        level.size(), deadline, [&](int, size_t i) {
+          const size_t v = level[i];
+          for (int c : tree_.children[v]) {
+            const size_t cv = static_cast<size_t>(c);
+            if (DeadlineExpired(deadline) ||
+                !(leaf_to_root ? semijoin(v, cv) : semijoin(cv, v))) {
+              expired.store(true, std::memory_order_relaxed);
+              return;
             }
-          });
-      if (!run.completed) expired.store(true, std::memory_order_relaxed);
-    }
-    if (expired.load()) {
-      for (uint64_t d : dropped) semijoin_dropped_ += d;
-      for (uint64_t p : passes) semijoin_passes_ += p;
-      return Status::DeadlineExceeded("semijoin reducer (leaf-to-root)");
-    }
+          }
+        });
+    if (!run.completed) expired.store(true, std::memory_order_relaxed);
+  };
 
-    // Root-to-leaf: the task for node v filters each of its children
-    // against v (v itself was filtered by its parent one level earlier).
-    for (int d = 0; d < max_depth && !expired.load(); ++d) {
-      const std::vector<size_t>& level = levels[static_cast<size_t>(d)];
-      const ParallelForResult run = ParallelFor(
-          &pool, static_cast<int>(std::min<size_t>(
-                     static_cast<size_t>(threads), level.size())),
-          level.size(), deadline, [&](int, size_t i) {
-            const size_t v = level[i];
-            for (int c : tree_.children[v]) {
-              if (DeadlineExpired(deadline)) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
-              const size_t cv = static_cast<size_t>(c);
-              const AttrSet sep = nodes_[v].attrs.Intersect(nodes_[cv].attrs);
-              std::unordered_set<std::string> keys;
-              if (!sep_keys(v, SharedPositions(nodes_[v].columns, sep),
-                            &keys)) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
-              ++passes[cv];
-              if (semijoin(cv, nodes_[cv].sep_positions, keys,
-                           &dropped[cv])) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
-            }
-          });
-      if (!run.completed) expired.store(true, std::memory_order_relaxed);
-    }
-    for (uint64_t d : dropped) semijoin_dropped_ += d;
-    for (uint64_t p : passes) semijoin_passes_ += p;
-    if (expired.load()) {
-      return Status::DeadlineExceeded("semijoin reducer (root-to-leaf)");
-    }
-
-    // Key rebuild is per-node independent; no deadline here — a partial
-    // key set would corrupt ContainsRow, and the rebuild is linear.
-    ParallelFor(&pool, threads, nodes_.size(), /*deadline=*/nullptr,
-                [&](int, size_t v) { RebuildKeys(&nodes_[v]); });
-    reduced_ = true;
-    return Status::Ok();
+  // Leaf-to-root: every node is filtered against fully reduced subtrees.
+  // Root-to-leaf: every child is filtered against its (now fully reduced)
+  // parent; afterwards no row anywhere is dangling.
+  const char* pass = "semijoin reducer (leaf-to-root)";
+  for (size_t d = levels.size(); d-- > 0 && !expired.load();) {
+    run_level(levels[d], /*leaf_to_root=*/true);
   }
-
-  // Leaf-to-root: reverse preorder visits every child before its parent,
-  // so each node is filtered against fully-reduced subtrees.
-  for (size_t i = tree_.preorder.size(); i-- > 0;) {
-    const size_t v = static_cast<size_t>(tree_.preorder[i]);
-    for (int c : tree_.children[v]) {
-      if (DeadlineExpired(deadline)) {
-        return Status::DeadlineExceeded("semijoin reducer (leaf-to-root)");
-      }
-      const size_t cv = static_cast<size_t>(c);
-      const AttrSet sep = nodes_[v].attrs.Intersect(nodes_[cv].attrs);
-      std::unordered_set<std::string> keys;
-      if (!sep_keys(cv, nodes_[cv].sep_positions, &keys)) {
-        return Status::DeadlineExceeded("semijoin reducer (leaf-to-root)");
-      }
-      ++semijoin_passes_;
-      if (semijoin(v, SharedPositions(nodes_[v].columns, sep), keys,
-                   &semijoin_dropped_)) {
-        return Status::DeadlineExceeded("semijoin reducer (leaf-to-root)");
-      }
+  if (!expired.load()) {
+    pass = "semijoin reducer (root-to-leaf)";
+    for (size_t d = 0; d + 1 < levels.size() && !expired.load(); ++d) {
+      run_level(levels[d], /*leaf_to_root=*/false);
     }
   }
-  // Root-to-leaf: each child is filtered against its (now fully reduced)
-  // parent; afterwards no tuple anywhere is dangling.
-  for (int pv : tree_.preorder) {
-    const size_t v = static_cast<size_t>(pv);
-    for (int c : tree_.children[v]) {
-      if (DeadlineExpired(deadline)) {
-        return Status::DeadlineExceeded("semijoin reducer (root-to-leaf)");
-      }
-      const size_t cv = static_cast<size_t>(c);
-      const AttrSet sep = nodes_[v].attrs.Intersect(nodes_[cv].attrs);
-      std::unordered_set<std::string> keys;
-      if (!sep_keys(v, SharedPositions(nodes_[v].columns, sep), &keys)) {
-        return Status::DeadlineExceeded("semijoin reducer (root-to-leaf)");
-      }
-      ++semijoin_passes_;
-      if (semijoin(cv, nodes_[cv].sep_positions, keys,
-                   &semijoin_dropped_)) {
-        return Status::DeadlineExceeded("semijoin reducer (root-to-leaf)");
-      }
-    }
-  }
-  for (Node& node : nodes_) RebuildKeys(&node);
+  for (uint64_t n : dropped) semijoin_dropped_ += n;
+  for (uint64_t n : passes) semijoin_passes_ += n;
+  if (expired.load()) return Status::DeadlineExceeded(pass);
   reduced_ = true;
   return Status::Ok();
 }
@@ -312,10 +218,10 @@ JoinResult YannakakisExecutor::Execute(const YannakakisOptions& options) {
     if (tree_.parent[v] < 0) continue;
     Node& node = nodes_[v];
     node.index.clear();
-    node.index.reserve(node.tuples.size());
-    for (size_t t = 0; t < node.tuples.size(); ++t) {
-      node.index[PackTupleKey(node.tuples[t], node.sep_positions)]
-          .push_back(t);
+    node.index.reserve(node.live.size());
+    for (uint32_t r : node.live) {
+      node.index[PackTupleKey(node.proj->rows[r], node.sep_positions)]
+          .push_back(r);
     }
   }
 
@@ -355,8 +261,8 @@ bool YannakakisExecutor::Extend(size_t depth, std::vector<uint32_t>* out,
   };
 
   if (tree_.parent[v] < 0) {
-    for (const auto& tuple : node.tuples) {
-      if (!emit_tuple(tuple)) return false;
+    for (uint32_t r : node.live) {
+      if (!emit_tuple(node.proj->rows[r])) return false;
       if ((++*poll_counter & 1023) == 0 && DeadlineExpired(options.deadline)) {
         return false;
       }
@@ -372,8 +278,8 @@ bool YannakakisExecutor::Extend(size_t depth, std::vector<uint32_t>* out,
   }
   const auto it = node.index.find(PackFullTupleKey(key));
   if (it == node.index.end()) return true;  // no extension below v
-  for (size_t t : it->second) {
-    if (!emit_tuple(node.tuples[t])) return false;
+  for (uint32_t r : it->second) {
+    if (!emit_tuple(node.proj->rows[r])) return false;
   }
   return true;
 }
@@ -381,25 +287,14 @@ bool YannakakisExecutor::Extend(size_t depth, std::vector<uint32_t>* out,
 std::vector<StoredProjection> YannakakisExecutor::ReducedProjections() const {
   std::vector<StoredProjection> out(nodes_.size());
   for (size_t v = 0; v < nodes_.size(); ++v) {
-    out[v].attrs = nodes_[v].attrs;
-    out[v].columns = nodes_[v].columns;
-    out[v].domains = nodes_[v].domains;
-    out[v].rows = nodes_[v].tuples;
+    const StoredProjection& proj = *nodes_[v].proj;
+    out[v].attrs = proj.attrs;
+    out[v].columns = proj.columns;
+    out[v].domains = proj.domains;
+    out[v].rows.reserve(nodes_[v].live.size());
+    for (uint32_t r : nodes_[v].live) out[v].rows.push_back(proj.rows[r]);
   }
   return out;
-}
-
-bool YannakakisExecutor::ContainsRow(const Relation& relation,
-                                     size_t r) const {
-  std::vector<uint32_t> tuple;
-  for (const Node& node : nodes_) {
-    tuple.resize(node.columns.size());
-    for (size_t i = 0; i < node.columns.size(); ++i) {
-      tuple[i] = relation.Value(r, node.columns[i]);
-    }
-    if (node.keys.count(PackFullTupleKey(tuple)) == 0) return false;
-  }
-  return true;
 }
 
 }  // namespace maimon

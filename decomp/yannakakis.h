@@ -10,14 +10,15 @@
 //               participates in at least one join result, so the join
 //               phase never generates dangling intermediates.
 //   Execute() — joins in join-tree order via per-edge hash indexes
-//               (separator key -> child tuples), streaming one result row
+//               (separator key -> child row ids), streaming one result row
 //               at a time: in count-only mode rows are counted and
 //               discarded (O(tree depth) live state, wide joins are never
 //               retained), with `materialize` they are collected.
 //
-// ContainsRow probes the reduced store with the definition of the natural
-// join — t is in the join iff every projection of t is present — which
-// doubles as an executor-independent membership oracle for the audit.
+// The executor is a view: each node borrows one StoredProjection of the
+// store it was given and holds only an ascending list of live row ids into
+// it. Reduction filters those id lists; no stored tuple is ever copied
+// except by ReducedProjections().
 
 #ifndef MAIMON_DECOMP_YANNAKAKIS_H_
 #define MAIMON_DECOMP_YANNAKAKIS_H_
@@ -26,7 +27,6 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "decomp/projection_store.h"
@@ -42,14 +42,14 @@ struct YannakakisOptions {
   /// audit only needs the streamed count plus membership probes, so wide
   /// reconstructions stay O(1) in result size.
   bool materialize = false;
-  /// Polled inside the reducer's per-tuple loops (every 1024 tuples) and
+  /// Polled inside the reducer's per-row loops (every 1024 row ids) and
   /// every 1024 enumerated join rows; expiry returns the partial count with
   /// kDeadlineExceeded. Nullable.
   const Deadline* deadline = nullptr;
-  /// Worker threads for the semijoin reducer: 1 = sequential, 0 = all
-  /// hardware threads, N = exactly N. Reduction output is byte-identical
-  /// for every value (see Reduce). The join enumeration itself stays
-  /// single-threaded — it streams one row at a time by design.
+  /// Worker threads for the semijoin reducer: 1 = inline on the calling
+  /// thread, 0 = all hardware threads, N = exactly N. Reduction output is
+  /// byte-identical for every value (see Reduce). The join enumeration
+  /// itself stays single-threaded — it streams one row at a time by design.
   int num_threads = 1;
   /// Observability sink (nullable): `yk.reduce` / `yk.join` spans plus the
   /// `yk.semijoin_dropped`, `yk.semijoin_passes` and `yk.join_rows`
@@ -76,21 +76,30 @@ struct JoinResult {
 
 class YannakakisExecutor {
  public:
-  /// `store` must outlive the executor; its projections are copied into
-  /// mutable per-node tuple lists (Reduce filters them in place).
+  /// `store` must outlive the executor, which borrows its projections
+  /// (every node, every row live).
   explicit YannakakisExecutor(const ProjectionStore& store);
+
+  /// Executes over a selection of `store`: node i of the executor is
+  /// projection `nodes[i]`, restricted to the ascending row ids `live[i]`.
+  /// The selected projections must form an acyclic schema (a connected
+  /// subtree of a join tree does). `store` must outlive the executor.
+  YannakakisExecutor(const ProjectionStore& store,
+                     const std::vector<int>& nodes,
+                     std::vector<std::vector<uint32_t>> live);
 
   /// Full semijoin reduction (idempotent; Execute runs it on demand).
   /// Deadline expiry leaves the store partially reduced and returns
   /// kDeadlineExceeded — the join result would still be correct, just
   /// slower, but callers on a blown budget want out, not a join.
   ///
-  /// With `num_threads` > 1 the passes run level-parallel: nodes of equal
-  /// tree depth are filtered concurrently (each task owns one node and
-  /// walks its children in order), with a barrier between levels. A node
-  /// only ever reads neighbors whose level is already final and only
-  /// mutates itself (leaf-to-root) or its own children (root-to-leaf), and
-  /// semijoin filtering preserves tuple order, so the reduced store — and
+  /// Both passes run level by level: nodes of equal tree depth are
+  /// filtered as independent tasks (each task owns one node and walks its
+  /// children in order), with a barrier between levels; `num_threads` > 1
+  /// runs a level's tasks concurrently, 1 runs them inline. A node only
+  /// ever reads neighbors whose level is already final and only mutates
+  /// itself (leaf-to-root) or its own children (root-to-leaf), and
+  /// semijoin filtering preserves row order, so the reduced store — and
   /// therefore the join — is byte-identical at any thread count.
   Status Reduce(const Deadline* deadline, int num_threads = 1,
                 obs::Sink* sink = nullptr);
@@ -108,36 +117,25 @@ class YannakakisExecutor {
   /// full-plan reduction of the same store.
   uint64_t semijoin_passes() const { return semijoin_passes_; }
 
-  /// Snapshot of the current per-node tuple lists as StoredProjections
-  /// (attrs/columns/domains preserved from construction). After a complete
+  /// The live rows of every node gathered into StoredProjections
+  /// (attrs/columns/domains from the borrowed store). After a complete
   /// Reduce() this is the globally consistent store serve/ snapshots: the
   /// join of any connected subtree of it equals the projection of the full
   /// join onto that subtree's attributes.
   std::vector<StoredProjection> ReducedProjections() const;
 
-  /// True iff row `r` of `relation` (restricted to the schema universe) is
-  /// in the join: every projection of the row is present in the (reduced)
-  /// store. `relation` must be the one the store was built from.
-  bool ContainsRow(const Relation& relation, size_t r) const;
-
   const JoinTree& tree() const { return tree_; }
 
  private:
-  // One node's mutable execution state.
+  // One node's execution state over its borrowed projection.
   struct Node {
-    AttrSet attrs;
-    std::vector<int> columns;            // original column indices
-    std::vector<uint32_t> domains;       // per-column domain sizes
-    std::vector<std::vector<uint32_t>> tuples;
+    const StoredProjection* proj = nullptr;
+    std::vector<uint32_t> live;          // ascending row ids into proj->rows
     std::vector<int> sep_positions;      // parent-separator positions
-    // Membership keys of the current tuple list (full-width), rebuilt by
-    // Reduce; used by ContainsRow.
-    std::unordered_set<std::string> keys;
-    // Separator key -> tuple indices, built by Execute for non-root nodes.
-    std::unordered_map<std::string, std::vector<size_t>> index;
+    // Separator key -> row ids, built by Execute for non-root nodes.
+    std::unordered_map<std::string, std::vector<uint32_t>> index;
   };
 
-  void RebuildKeys(Node* node) const;
   Status ReduceImpl(const Deadline* deadline, int num_threads,
                     obs::Sink* sink);
   // Depth-first extension over preorder position `depth`; returns false on

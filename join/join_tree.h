@@ -59,6 +59,17 @@ std::vector<int> MinimalCoveringSubtree(const JoinTree& tree,
                                         const std::vector<AttrSet>& rels,
                                         AttrSet touched);
 
+/// Positions within the column list `columns` of the attributes in `attrs`,
+/// in `columns` order — the `positions` argument of PackTupleKey.
+inline std::vector<int> PositionsOf(const std::vector<int>& columns,
+                                    AttrSet attrs) {
+  std::vector<int> out;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (attrs.Contains(columns[i])) out.push_back(static_cast<int>(i));
+  }
+  return out;
+}
+
 /// Byte-packed key of the `positions`-projection of `tuple` — the hash key
 /// both join implementations use for separator matching.
 inline std::string PackTupleKey(const std::vector<uint32_t>& tuple,

@@ -26,19 +26,9 @@ ProjectedRelation Project(const Relation& relation, AttrSet attrs) {
     for (size_t i = 0; i < out.attrs.size(); ++i) {
       tuple[i] = relation.Value(r, out.attrs[i]);
     }
-    std::string key(reinterpret_cast<const char*>(tuple.data()),
-                    tuple.size() * sizeof(uint32_t));
-    if (seen.insert(std::move(key)).second) out.tuples.push_back(tuple);
-  }
-  return out;
-}
-
-// Positions (within `rel.attrs`) of the shared attributes with `other`.
-std::vector<int> SharedPositions(const ProjectedRelation& rel,
-                                 AttrSet shared) {
-  std::vector<int> out;
-  for (size_t i = 0; i < rel.attrs.size(); ++i) {
-    if (shared.Contains(rel.attrs[i])) out.push_back(static_cast<int>(i));
+    if (seen.insert(PackFullTupleKey(tuple)).second) {
+      out.tuples.push_back(tuple);
+    }
   }
   return out;
 }
@@ -107,15 +97,16 @@ SchemaReport EvaluateSchema(const Relation& relation, const Schema& schema,
     // Per-child separator positions within v's attribute list.
     std::vector<std::vector<int>> child_pos;
     for (int c : children[static_cast<size_t>(v)]) {
-      child_pos.push_back(SharedPositions(
-          pv, rels[static_cast<size_t>(v)].Intersect(
-                  rels[static_cast<size_t>(c)])));
+      child_pos.push_back(PositionsOf(
+          pv.attrs, rels[static_cast<size_t>(v)].Intersect(
+                        rels[static_cast<size_t>(c)])));
     }
     std::vector<int> up_pos;
     if (parent[static_cast<size_t>(v)] >= 0) {
-      up_pos = SharedPositions(
-          pv, rels[static_cast<size_t>(v)].Intersect(
-                  rels[static_cast<size_t>(parent[static_cast<size_t>(v)])]));
+      up_pos = PositionsOf(
+          pv.attrs,
+          rels[static_cast<size_t>(v)].Intersect(
+              rels[static_cast<size_t>(parent[static_cast<size_t>(v)])]));
     }
     double total = 0.0;
     for (const auto& tuple : pv.tuples) {

@@ -15,30 +15,21 @@ namespace serve {
 namespace {
 
 // Snapshot builds pay the full Yannakakis reduction once, off the query
-// path: afterwards every stored tuple participates in the full join, which
-// is the precondition for answering from a covering subtree alone. No
-// deadline — a partially reduced snapshot would silently break that
-// identity for every later query. Stores already marked canonical (loaded
-// from a reduced store file, or re-adopted reduced projections) skip the
-// re-reduction outright — reduction is idempotent, so the skip changes
-// cold-start cost, never results.
+// path and on the calling thread: afterwards every stored tuple
+// participates in the full join, which is the precondition for answering
+// from a covering subtree alone. No deadline — a partially reduced
+// snapshot would silently break that identity for every later query.
+// Stores already marked canonical (loaded from a reduced store file, or
+// re-adopted reduced projections) skip the re-reduction outright —
+// reduction is idempotent, so the skip changes cold-start cost, never
+// results.
 ProjectionStore Canonicalize(ProjectionStore store,
                              const ServiceOptions& options) {
   if (store.canonical()) return store;
   YannakakisExecutor executor(store);
-  executor.Reduce(/*deadline=*/nullptr, options.reduce_threads, options.sink);
+  executor.Reduce(/*deadline=*/nullptr, /*num_threads=*/1, options.sink);
   return ProjectionStore(executor.ReducedProjections(),
                          store.original_cells(), /*canonical=*/true);
-}
-
-// Positions of `attrs` inside the ascending column list `columns`.
-std::vector<size_t> SlotsOf(const std::vector<int>& columns, AttrSet attrs) {
-  std::vector<size_t> slots;
-  slots.reserve(static_cast<size_t>(attrs.Count()));
-  for (size_t i = 0; i < columns.size(); ++i) {
-    if (attrs.Contains(columns[i])) slots.push_back(i);
-  }
-  return slots;
 }
 
 }  // namespace
@@ -161,12 +152,14 @@ void QueryService::PointLookup(const Snapshot& snap, const QueryPlan& plan,
 
   const auto it = index.rows_by_value.find(sel.lo);
   if (it == index.rows_by_value.end()) return;  // zero matches, status Ok
-  const std::vector<size_t> slots = SlotsOf(proj.columns, plan.output);
+  const std::vector<int> slots = PositionsOf(proj.columns, plan.output);
   std::unordered_set<std::string> seen;
   std::vector<uint32_t> out(slots.size());
   for (uint32_t r : it->second) {
     const std::vector<uint32_t>& row = proj.rows[r];
-    for (size_t i = 0; i < slots.size(); ++i) out[i] = row[slots[i]];
+    for (size_t i = 0; i < slots.size(); ++i) {
+      out[i] = row[static_cast<size_t>(slots[i])];
+    }
     if (plan.needs_dedup && !seen.insert(PackFullTupleKey(out)).second) {
       continue;
     }
@@ -181,54 +174,50 @@ void QueryService::RunSubtree(const Snapshot& snap, const QueryPlan& plan,
   const std::vector<StoredProjection>& projections =
       snap.store().projections();
 
-  // Materialize the covering projections with every pushed-down predicate
-  // already applied — the executor then only ever semijoins the filtered
-  // row sets. Filtering can leave tuples dangling across nodes; the
-  // executor's own reduction restores consistency within the subtree.
-  std::vector<StoredProjection> sub;
-  sub.reserve(plan.nodes.size());
+  // Select the live rows of each covering projection with every pushed-down
+  // predicate already applied — the executor then only ever semijoins the
+  // selected rows, borrowing them from the snapshot. Selecting can leave
+  // rows dangling across nodes; the executor's own reduction restores
+  // consistency within the subtree.
+  std::vector<int> nodes;
+  std::vector<std::vector<uint32_t>> live;
+  nodes.reserve(plan.nodes.size());
+  live.reserve(plan.nodes.size());
   uint64_t polls = 0;
   for (const PlanNode& pnode : plan.nodes) {
     const StoredProjection& src =
         projections[static_cast<size_t>(pnode.store_index)];
-    StoredProjection sp;
-    sp.attrs = src.attrs;
-    sp.columns = src.columns;
-    sp.domains = src.domains;
-    if (pnode.selections.empty()) {
-      sp.rows = src.rows;
-    } else {
-      std::vector<std::pair<size_t, Selection>> preds;
-      preds.reserve(pnode.selections.size());
-      for (const Selection& sel : pnode.selections) {
-        size_t col = 0;
-        while (src.columns[col] != sel.attr) ++col;
-        preds.emplace_back(col, sel);
-      }
-      sp.rows.reserve(src.rows.size());
-      for (const std::vector<uint32_t>& row : src.rows) {
-        if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) {
-          result->status = Status::DeadlineExceeded("serve pushdown filter");
-          return;
-        }
-        bool keep = true;
-        for (const std::pair<size_t, Selection>& pred : preds) {
-          if (!pred.second.Matches(row[pred.first])) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) sp.rows.push_back(row);
-      }
+    std::vector<std::pair<size_t, Selection>> preds;
+    preds.reserve(pnode.selections.size());
+    for (const Selection& sel : pnode.selections) {
+      size_t col = 0;
+      while (src.columns[col] != sel.attr) ++col;
+      preds.emplace_back(col, sel);
     }
-    sub.push_back(std::move(sp));
+    std::vector<uint32_t> ids;
+    ids.reserve(src.rows.size());
+    for (size_t r = 0; r < src.rows.size(); ++r) {
+      if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) {
+        result->status = Status::DeadlineExceeded("serve pushdown filter");
+        return;
+      }
+      bool keep = true;
+      for (const std::pair<size_t, Selection>& pred : preds) {
+        if (!pred.second.Matches(src.rows[r][pred.first])) {
+          keep = false;
+          break;
+        }
+      }
+      if (keep) ids.push_back(static_cast<uint32_t>(r));
+    }
+    nodes.push_back(pnode.store_index);
+    live.push_back(std::move(ids));
   }
 
   // A connected subtree of a join tree is itself an acyclic schema, so the
   // executor's max-overlap tree over it is a valid join tree and the
   // standard reduce + enumerate machinery applies unchanged.
-  ProjectionStore substore(std::move(sub), /*original_cells=*/0);
-  YannakakisExecutor executor(substore);
+  YannakakisExecutor executor(snap.store(), nodes, std::move(live));
   YannakakisOptions yopts;
   yopts.deadline = deadline;
   yopts.num_threads = 1;
@@ -246,13 +235,15 @@ void QueryService::RunSubtree(const Snapshot& snap, const QueryPlan& plan,
   } else {
     // Project each streamed row onto the output slots and deduplicate —
     // the wide subtree join is never retained.
-    const std::vector<int> covered_cols = plan.covered.ToVector();
-    const std::vector<size_t> slots = SlotsOf(covered_cols, plan.output);
+    const std::vector<int> slots =
+        PositionsOf(plan.covered.ToVector(), plan.output);
     std::unordered_set<std::string> seen;
     std::vector<uint32_t> out(slots.size());
     yopts.materialize = false;
     yopts.on_row = [&](const std::vector<uint32_t>& row) {
-      for (size_t i = 0; i < slots.size(); ++i) out[i] = row[slots[i]];
+      for (size_t i = 0; i < slots.size(); ++i) {
+        out[i] = row[static_cast<size_t>(slots[i])];
+      }
       if (!seen.insert(PackFullTupleKey(out)).second) return;
       if (!query.count_only) result->tuples.push_back(out);
     };

@@ -2,8 +2,9 @@
 //
 // store::MappedStore — the read side of the persistent store: opens a file
 // written by store::Writer read-only, mmaps it once, and serves every
-// section straight out of the mapping (zero parse cost; N processes share
-// one page-cache copy of the same file).
+// section straight out of the mapping (zero parse cost). Only ColumnSpan
+// readers share the page-cache copy across processes: ToProjectionStore
+// transposes the columns into heap rows owned by the caller.
 //
 // Validation discipline (the corruption-handling contract store_test pins
 // under ASan):

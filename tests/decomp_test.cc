@@ -207,6 +207,78 @@ TEST_CASE(SemijoinReducerDropsDanglingImportedTuples) {
   CHECK_EQ(executor.semijoin_dropped(), uint64_t{1});
 }
 
+TEST_CASE(LevelScheduleIsThreadCountInvariantAndLeavesTheStoreUntouched) {
+  // A foreign 4-node store whose join tree has two nodes at depth 1:
+  // [ABC] is the root, [AD] and [BE] hang off it, [EF] hangs off [BE].
+  // Every node carries dangling rows (values absent from its neighbor), so
+  // both reducer passes drop rows. The executor borrows the store, so
+  // reducing and joining must leave its rows exactly as they were, and the
+  // level schedule must reduce identically inline and on 2 or 8 threads.
+  const auto make = [](AttrSet attrs, std::vector<int> columns,
+                       uint32_t domain,
+                       const std::vector<std::vector<uint32_t>>& raw) {
+    StoredProjection p;
+    p.attrs = attrs;
+    p.columns = std::move(columns);
+    p.domains.assign(p.columns.size(), domain);
+    std::set<std::vector<uint32_t>> seen;
+    for (const std::vector<uint32_t>& row : raw) {
+      if (seen.insert(row).second) p.rows.push_back(row);
+    }
+    return p;
+  };
+  std::vector<std::vector<uint32_t>> abc, ad, be, ef;
+  for (uint32_t i = 0; i < 400; ++i) {
+    abc.push_back({i % 7, (i * 3) % 11, i % 5});
+    ad.push_back({i % 9, i % 4});          // a in {7, 8} dangles
+    be.push_back({(i * 2) % 13, i % 6});   // b in {11, 12} dangles
+    ef.push_back({i % 5, (i * 7) % 3});    // e = 5 in [BE] dangles
+  }
+  const ProjectionStore store(
+      {make(AttrSet(0b000111), {0, 1, 2}, 16, abc),
+       make(AttrSet(0b001001), {0, 3}, 16, ad),
+       make(AttrSet(0b010010), {1, 4}, 16, be),
+       make(AttrSet(0b110000), {4, 5}, 16, ef)},
+      /*original_cells=*/0);
+  std::vector<std::vector<std::vector<uint32_t>>> before;
+  for (const StoredProjection& p : store.projections()) {
+    before.push_back(p.rows);
+  }
+
+  std::vector<StoredProjection> base;
+  uint64_t base_dropped = 0;
+  uint64_t base_rows = 0;
+  for (int threads : {1, 2, 8}) {
+    YannakakisExecutor executor(store);
+    CHECK_EQ(executor.tree().parent, (std::vector<int>{-1, 0, 0, 2}));
+    CHECK(executor.Reduce(nullptr, threads).ok());
+    const JoinResult join = executor.Execute(YannakakisOptions());
+    CHECK(join.status.ok());
+    CHECK_EQ(executor.semijoin_passes(), uint64_t{2 * (4 - 1)});
+    const std::vector<StoredProjection> reduced =
+        executor.ReducedProjections();
+    if (threads == 1) {
+      base = reduced;
+      base_dropped = executor.semijoin_dropped();
+      base_rows = join.rows;
+      CHECK(base_dropped > 0);
+      CHECK(base_rows > 0);
+    }
+    CHECK_EQ(executor.semijoin_dropped(), base_dropped);
+    CHECK_EQ(join.rows, base_rows);
+    CHECK_EQ(reduced.size(), base.size());
+    for (size_t v = 0; v < reduced.size(); ++v) {
+      CHECK(reduced[v].attrs == base[v].attrs);
+      CHECK_EQ(reduced[v].columns, base[v].columns);
+      CHECK_EQ(reduced[v].domains, base[v].domains);
+      CHECK(reduced[v].rows == base[v].rows);
+    }
+  }
+  for (size_t v = 0; v < before.size(); ++v) {
+    CHECK(store.projections()[v].rows == before[v]);
+  }
+}
+
 TEST_CASE(ReducerPollsTheDeadlineInsideASingleSemijoinLevel) {
   // Regression: the reducer used to poll only between per-edge semijoins,
   // so ONE huge level could overrun a per-query deadline by the full cost
