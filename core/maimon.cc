@@ -94,6 +94,13 @@ const MvdMinerResult& Maimon::MineMvds() {
 
   obs::Span mine_span(config_.sink, "mine.mvds");
   MvdMinerResult& result = mvd_result_;
+  if (relation_->NumCols() > AttrSet::kMaxAttrs) {
+    result.status = Status::InvalidArgument(
+        "relation has " + std::to_string(relation_->NumCols()) +
+        " columns, more than the " + std::to_string(AttrSet::kMaxAttrs) +
+        " an attribute set holds");
+    return result;
+  }
   const Deadline global = config_.mvd_budget_seconds > 0
                               ? Deadline::After(config_.mvd_budget_seconds)
                               : Deadline::Infinite();
@@ -189,6 +196,11 @@ AsMinerResult Maimon::MineSchemas() {
     metrics_.Merge(phase);
     if (config_.sink != nullptr) config_.sink->Fold(phase);
   };
+  // A relation MineMvds refused (wider than an AttrSet) has no schemes.
+  if (mined.status.code() == Status::Code::kInvalidArgument) {
+    fold_assembly(result);
+    return result;
+  }
   // Each phase carves its own Deadline (MVD mining never eats into the
   // schema budget), so this only fires for near-zero budgets — but then it
   // skips the quadratic graph build entirely.

@@ -130,7 +130,9 @@ class Maimon {
   Maimon(const Relation& relation, MaimonConfig config);
 
   /// Mines (once) and returns the cached result; the reference stays valid
-  /// for the lifetime of this Maimon.
+  /// for the lifetime of this Maimon. A relation wider than
+  /// AttrSet::kMaxAttrs columns is refused with kInvalidArgument (and no
+  /// MVDs), as is MineSchemas() on it.
   const MvdMinerResult& MineMvds();
   /// Runs MineMvds() first (if not already run), then enumerates schemas.
   AsMinerResult MineSchemas();

@@ -27,13 +27,18 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   return cells;
 }
 
+// Largest code a cell may hold: its column's domain, max code + 1, must
+// still fit in uint32.
+constexpr uint64_t kMaxCode = UINT32_MAX - 1;
+
+// Parses a decimal code in [0, kMaxCode] into `out`.
 bool ParseCode(const std::string& cell, uint32_t* out) {
   if (cell.empty()) return false;
   uint64_t value = 0;
   for (char ch : cell) {
     if (ch < '0' || ch > '9') return false;
     value = value * 10 + static_cast<uint64_t>(ch - '0');
-    if (value > UINT32_MAX) return false;
+    if (value > kMaxCode) return false;
   }
   *out = static_cast<uint32_t>(value);
   return true;
@@ -93,6 +98,11 @@ Status ImportCsv(const std::string& path, Relation* out,
   }
   const std::vector<std::string> names = SplitCsvLine(line);
   const size_t n = names.size();
+  if (n > static_cast<size_t>(AttrSet::kMaxAttrs)) {
+    return Status::InvalidArgument(
+        "CSV has " + std::to_string(n) + " columns, more than the " +
+        std::to_string(AttrSet::kMaxAttrs) + " supported: " + path);
+  }
   if (header != nullptr) *header = names;
 
   std::vector<std::vector<uint32_t>> columns(n);
@@ -105,8 +115,9 @@ Status ImportCsv(const std::string& path, Relation* out,
     for (size_t c = 0; c < n; ++c) {
       uint32_t code = 0;
       if (!ParseCode(cells[c], &code)) {
-        return Status::InvalidArgument("non-integer CSV cell \"" + cells[c] +
-                                       "\" in " + path);
+        return Status::InvalidArgument(
+            "CSV cell \"" + cells[c] + "\" is not an integer code in [0, " +
+            std::to_string(kMaxCode) + "] in " + path);
       }
       columns[c].push_back(code);
     }

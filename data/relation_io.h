@@ -33,7 +33,9 @@ Status ExportCsv(const Relation& relation, const std::string& path,
 /// Reads a CSV written by ExportCsv (or any integer CSV with a header row)
 /// into `out`; `header` (nullable) receives the column names. Codes are
 /// preserved exactly as written. Fails with kInvalidArgument on a missing
-/// file, a non-integer cell, or a ragged row.
+/// file, more than AttrSet::kMaxAttrs columns, a cell that is not an
+/// integer code in [0, 2^32 - 2] (the domain, max code + 1, must fit in
+/// uint32), or a ragged row.
 Status ImportCsv(const std::string& path, Relation* out,
                  std::vector<std::string>* header = nullptr);
 

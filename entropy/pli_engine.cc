@@ -20,7 +20,7 @@ PliSharedCore::PliSharedCore(const Relation& relation,
     singles_.push_back(
         StrippedPartition::FromColumn(relation.Column(c), relation.DomainSize(c)));
     // Single-column H is queried by every MvdMeasure: precompute it here
-    // rather than burning evictable memo slots on it.
+    // rather than spending memo slots on it.
     single_entropy_.push_back(singles_.back().Entropy());
   }
 }
@@ -28,12 +28,18 @@ PliSharedCore::PliSharedCore(const Relation& relation,
 PliEntropyEngine::PliEntropyEngine(const Relation& relation,
                                    PliEngineOptions options)
     : core_(std::make_shared<PliSharedCore>(relation, options)),
+      // One budget for the whole engine: the memo takes at most an eighth,
+      // the partition cache the rest.
+      memo_(std::make_shared<EntropyMemo>(
+          relation.NumCols(), core_->options().cache_capacity_bytes / 8)),
       cache_(std::make_shared<PliCache>(
-          core_->options().cache_capacity_bytes, core_->options().cache_stripes)) {}
+          core_->options().cache_capacity_bytes - memo_->bytes(),
+          core_->options().cache_stripes)) {}
 
 PliEntropyEngine::PliEntropyEngine(std::shared_ptr<const PliSharedCore> core,
+                                   std::shared_ptr<EntropyMemo> memo,
                                    std::shared_ptr<PliCache> cache)
-    : core_(std::move(core)), cache_(std::move(cache)) {}
+    : core_(std::move(core)), memo_(std::move(memo)), cache_(std::move(cache)) {}
 
 std::vector<std::unique_ptr<PliEntropyEngine>> PliEntropyEngine::ForkShards(
     int num_shards) const {
@@ -49,7 +55,7 @@ std::vector<std::unique_ptr<PliEntropyEngine>> PliEntropyEngine::ForkShards(
 
 std::unique_ptr<PliEntropyEngine> PliEntropyEngine::Fork() const {
   return std::unique_ptr<PliEntropyEngine>(
-      new PliEntropyEngine(core_, cache_));
+      new PliEntropyEngine(core_, memo_, cache_));
 }
 
 void PliEntropyEngine::MergeStats(const PliEntropyEngine& worker) {
@@ -66,17 +72,15 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
   assert(relation.Universe().ContainsAll(attrs));
 
   // Single attribute: precomputed at construction, never evicted — and
-  // never memoized, so probe the array before the memo hash lookup.
+  // never memoized, so probe the array before the memo.
   if (attrs.Count() == 1) {
     return core_->SingleEntropy(attrs.First());
   }
 
-  if (options.cache_entropy_values) {
-    double memoized;
-    if (cache_->GetEntropy(attrs, &memoized)) {
-      ++value_hits_;
-      return memoized;
-    }
+  double memoized;
+  if (memo_->Get(attrs, &memoized)) {
+    ++value_hits_;
+    return memoized;
   }
 
   // Exact-partition probe — the accounted hit/miss event: a hit means the
@@ -85,7 +89,7 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
   if (PliCache::PartitionRef exact = cache_->Get(attrs, &cache_stats_)) {
     ++depth_hist_[0];
     const double h = exact->Entropy();
-    if (options.cache_entropy_values) cache_->PutEntropy(attrs, h, &cache_stats_);
+    memo_->Put(attrs, h);
     return h;
   }
 
@@ -163,9 +167,7 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
       local->MemoryBytes() <= cache_->capacity_bytes()) {
     cache_->Put(attrs, std::move(*local), &cache_stats_);
   }
-  // Memoize after the partition Put so the value attaches to the resident
-  // entry for free instead of opening a value-only entry.
-  if (options.cache_entropy_values) cache_->PutEntropy(attrs, h, &cache_stats_);
+  memo_->Put(attrs, h);
   return h;
 }
 
@@ -218,7 +220,6 @@ void AppendEngineMetrics(const PliEntropyEngine::Stats& stats,
   registry->Count("pli.cache.hits", stats.cache.hits);
   registry->Count("pli.cache.misses", stats.cache.misses);
   registry->Count("pli.cache.insertions", stats.cache.insertions);
-  registry->Count("pli.cache.value_insertions", stats.cache.value_insertions);
   registry->Count("pli.cache.evictions", stats.cache.evictions);
   registry->GaugeMax("pli.cache.resident_bytes",
                      static_cast<int64_t>(stats.cache.bytes));

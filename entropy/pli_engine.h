@@ -3,11 +3,9 @@
 // PliEntropyEngine: the Sec. 6.3 entropy engine. H(X) is computed by
 // intersecting cached stripped partitions instead of scanning the relation:
 //
-//   1. exact-match value memo: a repeated query is a hash lookup. The memo
-//      lives inside the PliCache (attached to partition entries for free,
-//      or as value-only entries in a quota-capped memo segment), so it
-//      shares the byte budget instead of growing without bound. Single
-//      columns bypass it: their H is precomputed at construction;
+//   1. exact-match value memo: a repeated query is one lock-free table
+//      read (EntropyMemo). Single columns bypass it: their H is
+//      precomputed at construction;
 //   2. otherwise, start from the largest cached subset partition of X
 //      (found via the cache's width index) and fold in the missing
 //      attributes one single-column PLI at a time over the epoch-stamped
@@ -24,11 +22,15 @@
 //                      StrippedPartition per column, and every single-column
 //                      entropy. Built once, read concurrently by any number
 //                      of workers with no synchronization.
-//   PliCache         — ONE concurrent cache (striped locks, one global byte
-//                      budget) shared by every engine handle forked from the
-//                      same core: a partition materialized by any worker is
-//                      immediately a hit for all of them, and no budget is
-//                      stranded in cold per-worker slices.
+//   EntropyMemo      — ONE lock-free H(X) table shared by every handle
+//                      forked from the same core, sized to the input
+//                      (min(2^NumCols, what an eighth of the budget holds)).
+//   PliCache         — ONE concurrent partition cache (striped locks, one
+//                      global byte budget: what the memo leaves) shared by
+//                      every engine handle forked from the same core: a
+//                      partition materialized by any worker is immediately
+//                      a hit for all of them, and no budget is stranded in
+//                      cold per-worker slices.
 //   PliEntropyEngine — the per-worker handle: the intersect scratch vector
 //                      and the query/hit counters. One handle is owned by
 //                      one thread at a time; ForkShards() hands out handles
@@ -48,6 +50,7 @@
 
 #include "data/relation.h"
 #include "entropy/entropy_engine.h"
+#include "entropy/entropy_memo.h"
 #include "entropy/info_calc.h"
 #include "entropy/pli_cache.h"
 #include "entropy/stripped_partition.h"
@@ -58,13 +61,12 @@ struct PliEngineOptions {
   /// L: partitions with at most this many attributes are cached; wider ones
   /// are computed transiently. Sec. 6.3 uses L = 10.
   int block_size = 10;
-  /// Byte budget for the shared partition cache. One global budget: every
-  /// engine handle forked from the same core shares the one cache, so no
-  /// bytes are sliced away or stranded per worker.
+  /// Byte budget for the shared H(X) memo plus the shared partition cache.
+  /// One global budget: the memo takes at most an eighth (less when
+  /// 2^NumCols slots need less), the partition cache the rest, and every
+  /// engine handle forked from the same core shares both, so no bytes are
+  /// sliced away or stranded per worker.
   size_t cache_capacity_bytes = size_t{64} << 20;
-  /// Memoize final H(X) values in the partition cache (exact-match memo;
-  /// budgeted and LRU-evicted alongside the partitions).
-  bool cache_entropy_values = true;
   /// Lock stripes for the shared cache; <= 0 picks the default (16). One
   /// stripe gives exact global LRU order (useful in tests).
   int cache_stripes = 0;
@@ -108,13 +110,13 @@ class PliEntropyEngine : public EntropyEngine {
   uint64_t NumQueries() const override { return num_queries_ + merged_.queries; }
 
   /// Forks `num_shards` worker handles over this engine's immutable core
-  /// AND its shared concurrent cache — the full byte budget, no slicing.
+  /// AND its shared memo and cache — the full byte budget, no slicing.
   /// Partitions staged by this engine are warm for every worker (and vice
   /// versa). Each handle carries only thread-confined state (scratch
   /// vector, counters) and may be handed to a different thread.
   std::vector<std::unique_ptr<PliEntropyEngine>> ForkShards(
       int num_shards) const;
-  /// Single worker handle over the shared core + cache.
+  /// Single worker handle over the shared core, memo and cache.
   std::unique_ptr<PliEntropyEngine> Fork() const;
 
   /// Folds a worker's counters into this engine's merged totals. Counter
@@ -169,17 +171,20 @@ class PliEntropyEngine : public EntropyEngine {
   Stats stats() const;
 
   const PliCache& cache() const { return *cache_; }
+  const EntropyMemo& memo() const { return *memo_; }
   const Relation& relation() const { return core_->relation(); }
   const PliEngineOptions& options() const { return core_->options(); }
   const PliSharedCore& core() const { return *core_; }
 
  private:
-  /// A worker handle over an existing core and its shared cache.
+  /// A worker handle over an existing core and its shared memo and cache.
   PliEntropyEngine(std::shared_ptr<const PliSharedCore> core,
+                   std::shared_ptr<EntropyMemo> memo,
                    std::shared_ptr<PliCache> cache);
 
   std::shared_ptr<const PliSharedCore> core_;
-  std::shared_ptr<PliCache> cache_;  // shared: partitions + the H(X) memo
+  std::shared_ptr<EntropyMemo> memo_;  // shared: the H(X) memo
+  std::shared_ptr<PliCache> cache_;    // shared: the partitions
   PliCache::Stats cache_stats_;   // this handle's slice of cache counters
   IntersectScratch epoch_scratch_;   // intersect kernel tag scratch
   /// Fold-chain output buffers, ping-ponged so a depth-k chain reuses two
@@ -215,7 +220,7 @@ class MetricsRegistry;
 /// namespace: queries / value_hits / intersections, the fused-kernel
 /// counters (`pli.subset_probe.probes`, `pli.subset_probe.candidates`,
 /// `pli.fused.entropies`), the cache counters
-/// (hits, misses, insertions, value_insertions, evictions), the
+/// (hits, misses, insertions, evictions), the
 /// `pli.cache.resident_bytes` gauge (high-water across folds), and the
 /// `pli.intersect_depth` histogram. Fold ONCE per engine, after its
 /// workers' stats are merged — typically right before a bench reports.

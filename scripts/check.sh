@@ -11,7 +11,8 @@
 #   --tsan   additionally build <repo>/build-tsan with ThreadSanitizer and
 #            run the concurrency suites (parallel_test: pool, forked
 #            engines, full parallel pipeline; pli_cache_test: the shared
-#            concurrent cache's mixed-traffic stress; obs_test: concurrent
+#            concurrent cache's mixed-traffic stress and the lock-free
+#            H(X) memo's Put/Get stress; obs_test: concurrent
 #            span/metric emission into one sink; serve_test: 8 query
 #            threads racing a snapshot Swap) under it. The default lane is
 #            unchanged.

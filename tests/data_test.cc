@@ -136,6 +136,48 @@ TEST_CASE(CsvRoundTripsExactly) {
     std::fclose(f);
   }
   CHECK(!ImportCsv(path, &back).ok());
+  {
+    // The largest uint32 code would make the domain (max code + 1) wrap
+    // to 0: rejected. One below it still imports, domain exact.
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs("A,B\n4294967295,0\n1,1\n", f);
+    std::fclose(f);
+  }
+  CHECK(ImportCsv(path, &back).code() == Status::Code::kInvalidArgument);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs("A,B\n4294967294,0\n1,1\n", f);
+    std::fclose(f);
+  }
+  CHECK(ImportCsv(path, &back).ok());
+  CHECK_EQ(back.DomainSize(0), uint32_t{4294967295u});
+  std::remove(path.c_str());
+}
+
+// Writes a one-row integer CSV with `num_cols` columns.
+void WriteWideCsv(const std::string& path, int num_cols) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  for (int c = 0; c < num_cols; ++c) {
+    std::fprintf(f, c == 0 ? "c%d" : ",c%d", c);
+  }
+  std::fputs("\n", f);
+  for (int c = 0; c < num_cols; ++c) std::fputs(c == 0 ? "0" : ",0", f);
+  std::fputs("\n", f);
+  std::fclose(f);
+}
+
+TEST_CASE(CsvImportEnforcesTheAttributeWidthLimit) {
+  // AttrSet holds kMaxAttrs = 64 attributes: a 64-column CSV imports, a
+  // 65-column one is rejected instead of silently losing its last column
+  // from every attribute set.
+  const std::string path = "data_test_wide.csv";
+  Relation back;
+  WriteWideCsv(path, AttrSet::kMaxAttrs);
+  CHECK(ImportCsv(path, &back).ok());
+  CHECK_EQ(back.NumCols(), AttrSet::kMaxAttrs);
+  CHECK_EQ(back.Universe().Count(), AttrSet::kMaxAttrs);
+  WriteWideCsv(path, AttrSet::kMaxAttrs + 1);
+  CHECK(ImportCsv(path, &back).code() == Status::Code::kInvalidArgument);
   std::remove(path.c_str());
 }
 

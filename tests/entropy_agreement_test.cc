@@ -3,7 +3,9 @@
 // The exactness contract of the Sec. 6.3 engine: PLI-based entropies agree
 // with the naive full-scan oracle to 1e-9 on 50 random planted relations,
 // across every attribute subset (up to 2^10 per relation). Exercised at
-// several block sizes L so the staging path is covered, not just the memo.
+// several block sizes L so the staging path is covered, not just the memo,
+// and once more with a budget so small that the memo table folds four keys
+// into each slot, so the colliding index path answers under the oracle too.
 
 #include <cstdint>
 
@@ -16,7 +18,10 @@
 namespace maimon {
 namespace {
 
-TEST_CASE(PliAgreesWithNaiveOnAllSubsets) {
+// The agreement sweep behind the two cases below. `folded_memo` sizes each
+// engine's budget so its memo holds 2^(NumCols-2) slots instead of
+// 2^NumCols; the partition cache then gets a correspondingly small share.
+void CheckPliAgreesWithNaiveOnAllSubsets(bool folded_memo) {
   Rng rng(42);
   for (int trial = 0; trial < 50; ++trial) {
     PlantedSpec spec;
@@ -32,9 +37,14 @@ TEST_CASE(PliAgreesWithNaiveOnAllSubsets) {
     NaiveEntropyEngine naive(r);
     PliEngineOptions opt;
     opt.block_size = 1 + static_cast<int>(rng.Uniform(10));
-    PliEntropyEngine pli(r, opt);
-
     const uint64_t subsets = uint64_t{1} << r.NumCols();
+    if (folded_memo) {
+      opt.cache_capacity_bytes =
+          8 * sizeof(EntropyMemo::Slot) * static_cast<size_t>(subsets / 4);
+    }
+    PliEntropyEngine pli(r, opt);
+    if (folded_memo) CHECK_EQ(pli.memo().num_slots(), subsets / 4);
+
     std::vector<double> expected(subsets);
     for (uint64_t mask = 0; mask < subsets; ++mask) {
       const AttrSet q(mask);
@@ -46,6 +56,14 @@ TEST_CASE(PliAgreesWithNaiveOnAllSubsets) {
       CHECK_NEAR(pli.Entropy(AttrSet(mask)), expected[mask], 1e-9);
     }
   }
+}
+
+TEST_CASE(PliAgreesWithNaiveOnAllSubsets) {
+  CheckPliAgreesWithNaiveOnAllSubsets(/*folded_memo=*/false);
+}
+
+TEST_CASE(PliAgreesWithNaiveThroughAFoldedMemo) {
+  CheckPliAgreesWithNaiveOnAllSubsets(/*folded_memo=*/true);
 }
 
 // Path-independence gate: H must be a pure function of the attribute set,

@@ -203,6 +203,34 @@ TEST_CASE(BudgetExpiryReportsDeadline) {
   CHECK(result.status.IsDeadlineExceeded());
 }
 
+TEST_CASE(MaimonEnforcesTheAttributeWidthLimit) {
+  // AttrSet holds kMaxAttrs = 64 attributes. A 64-column relation mines
+  // (here cut short by its budget); a 65-column one is refused with
+  // kInvalidArgument instead of mining over its first 64 columns.
+  const auto identical_columns = [](int num_cols) {
+    std::vector<std::vector<uint32_t>> rows;
+    for (uint32_t r = 0; r < 4; ++r) {
+      rows.push_back(std::vector<uint32_t>(static_cast<size_t>(num_cols), r));
+    }
+    return Relation::FromRows(rows, num_cols);
+  };
+  MaimonConfig config;
+  config.mvd_budget_seconds = 0.05;
+
+  const Relation widest = identical_columns(AttrSet::kMaxAttrs);
+  Maimon accepted(widest, config);
+  CHECK(accepted.MineMvds().status.code() != Status::Code::kInvalidArgument);
+
+  const Relation too_wide = identical_columns(AttrSet::kMaxAttrs + 1);
+  Maimon refused(too_wide, config);
+  const MvdMinerResult& result = refused.MineMvds();
+  CHECK(result.status.code() == Status::Code::kInvalidArgument);
+  CHECK(result.mvds.empty());
+  const AsMinerResult schemas = refused.MineSchemas();
+  CHECK(schemas.status.code() == Status::Code::kInvalidArgument);
+  CHECK(schemas.schemas.empty());
+}
+
 }  // namespace
 }  // namespace maimon
 

@@ -107,7 +107,10 @@ TEST_CASE(ForksShareOneCacheAtTheFullGlobalBudget) {
     CHECK_EQ(forks.size(), static_cast<size_t>(shards));
     for (const auto& fork : forks) {
       CHECK(&fork->cache() == &engine.cache());  // same object, not a slice
-      CHECK_EQ(fork->cache().capacity_bytes(), options.cache_capacity_bytes);
+      CHECK(&fork->memo() == &engine.memo());
+      // The one budget is split between the memo and the partitions.
+      CHECK_EQ(fork->cache().capacity_bytes() + fork->memo().bytes(),
+               options.cache_capacity_bytes);
       // All forks read the same immutable core.
       CHECK(&fork->core() == &engine.core());
     }

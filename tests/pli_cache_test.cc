@@ -5,16 +5,23 @@
 // concurrent evictions. The single-threaded cases run on a one-stripe
 // cache, where eviction order is exact global LRU; the stress case runs
 // the default striping with eight threads of mixed traffic and checks the
-// invariants that survive concurrency: bytes <= capacity at every instant,
-// per-thread counters folding exactly, and memo values never torn.
+// invariants that survive concurrency: bytes <= capacity at every instant
+// and per-thread counters folding exactly.
+//
+// EntropyMemo contract: a stored value round-trips bit for bit, a slot
+// shared by colliding keys never answers for the wrong key, the table is
+// bounded by both 2^NumCols and its byte budget, and eight threads of
+// Put/Get traffic only ever read the value stored for the key asked.
 
 #include "entropy/pli_cache.h"
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 #include <vector>
 
+#include "entropy/entropy_memo.h"
 #include "tests/test_util.h"
 
 namespace maimon {
@@ -25,6 +32,18 @@ namespace {
 StrippedPartition MakePartition(size_t rows) {
   return StrippedPartition::Identity(rows);
 }
+
+// SplitMix64 stream: deterministic per seed, no shared RNG state.
+struct SplitMix64 {
+  uint64_t x;
+  uint64_t Next() {
+    x += 0x9e3779b97f4a7c15ULL;
+    uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+};
 
 TEST_CASE(HitAndMissCountersAreExact) {
   PliCache cache(size_t{1} << 20, /*num_stripes=*/1);
@@ -103,133 +122,6 @@ TEST_CASE(PutNeverEvictsTheInsertedEntryAndRefsStayValid) {
   CHECK_EQ(third->NumRows(), size_t{128});
 }
 
-TEST_CASE(EntropyMemoSharesTheByteBudgetAndLru) {
-  // The memo segment gets 1/8 of the budget: room for exactly three
-  // value-only entries.
-  PliCache cache(PliCache::kValueEntryBytes * 24, /*num_stripes=*/1);
-  PliCache::Stats st;
-  double h = 0.0;
-  CHECK(!cache.GetEntropy(AttrSet(1), &h));
-  cache.PutEntropy(AttrSet(1), 1.5, &st);
-  CHECK_EQ(cache.bytes(), PliCache::kValueEntryBytes);
-  CHECK(cache.GetEntropy(AttrSet(1), &h));
-  CHECK_NEAR(h, 1.5, 0.0);
-
-  // Value-only entries are invisible to the partition interface.
-  CHECK(!cache.Contains(AttrSet(1)));
-  CHECK(cache.Get(AttrSet(1), &st) == nullptr);
-  int partition_keys = 0;
-  cache.ForEachKey([&](AttrSet) { ++partition_keys; });
-  CHECK_EQ(partition_keys, 0);
-
-  // The fourth insert recycles the segment's least-recently-used entry:
-  // AttrSet(1) (its promotion predates the later inserts) goes, the rest
-  // stay — true LRU within the memo segment, partitions never touched.
-  cache.PutEntropy(AttrSet(2), 2.5, &st);
-  cache.PutEntropy(AttrSet(4), 3.5, &st);
-  cache.PutEntropy(AttrSet(8), 4.5, &st);
-  CHECK(!cache.GetEntropy(AttrSet(1), &h));
-  CHECK(cache.GetEntropy(AttrSet(4), &h));
-  CHECK(cache.GetEntropy(AttrSet(8), &h));
-  CHECK_EQ(st.value_insertions, 4u);
-  CHECK_EQ(st.evictions, 1u);
-  CHECK(cache.bytes() <= cache.capacity_bytes());
-}
-
-TEST_CASE(EntropyMemoAttachesToPartitionEntries) {
-  PliCache cache(size_t{1} << 20, /*num_stripes=*/1);
-  PliCache::Stats st;
-  cache.Put(AttrSet(1), MakePartition(64), &st);
-  const size_t bytes_before = cache.bytes();
-  cache.PutEntropy(AttrSet(1), 7.0, &st);  // rides the resident entry free
-  CHECK_EQ(cache.bytes(), bytes_before);
-  double h = 0.0;
-  CHECK(cache.GetEntropy(AttrSet(1), &h));
-  CHECK_NEAR(h, 7.0, 0.0);
-
-  // Upgrading a value-only entry to a partition entry keeps the memo and
-  // re-charges the entry at the partition's cost.
-  cache.PutEntropy(AttrSet(2), 9.0, &st);
-  const size_t with_value = cache.bytes();
-  const size_t resident_cost = [&] {
-    StrippedPartition p = MakePartition(64);
-    p.ShrinkToFit();
-    return p.MemoryBytes();
-  }();
-  CHECK(cache.Put(AttrSet(2), MakePartition(64), &st) != nullptr);
-  CHECK_EQ(cache.bytes(),
-           with_value - PliCache::kValueEntryBytes + resident_cost);
-  CHECK(cache.Contains(AttrSet(2)));
-  CHECK(cache.GetEntropy(AttrSet(2), &h));
-  CHECK_NEAR(h, 9.0, 0.0);
-}
-
-TEST_CASE(PartitionInsertShedsMemoEntriesToHoldBudget) {
-  const size_t big = MakePartition(2048).MemoryBytes();
-  PliCache cache(big + PliCache::kValueEntryBytes, /*num_stripes=*/1);
-  PliCache::Stats st;
-  cache.PutEntropy(AttrSet(2), 1.0, &st);
-  cache.PutEntropy(AttrSet(4), 2.0, &st);
-  CHECK(cache.bytes() == 2 * PliCache::kValueEntryBytes);
-  // The near-capacity partition fits only if memo entries are shed: the
-  // budget invariant must hold after the insert.
-  CHECK(cache.Put(AttrSet(1), MakePartition(2048), &st) != nullptr);
-  CHECK(cache.Contains(AttrSet(1)));
-  CHECK(cache.bytes() <= cache.capacity_bytes());
-}
-
-TEST_CASE(EvictedPartitionKeepsItsMemoAsValueEntry) {
-  const size_t entry_bytes = MakePartition(256).MemoryBytes();
-  // Memo quota = entry_bytes: plenty. One stripe: exact LRU.
-  PliCache cache(8 * entry_bytes, /*num_stripes=*/1);
-  PliCache::Stats st;
-  cache.Put(AttrSet(1), MakePartition(256), &st);
-  cache.PutEntropy(AttrSet(1), 3.25, &st);
-  // Push key 1 out of the partition set with eight fresh partitions.
-  for (int k = 1; k <= 8; ++k) {
-    cache.Put(AttrSet(uint64_t{1} << (k + 1)), MakePartition(256), &st);
-  }
-  CHECK(!cache.Contains(AttrSet(1)));  // partition evicted...
-  double h = 0.0;
-  CHECK(cache.GetEntropy(AttrSet(1), &h));  // ...but the memo survived
-  CHECK_NEAR(h, 3.25, 0.0);
-  CHECK(cache.bytes() <= cache.capacity_bytes());
-}
-
-TEST_CASE(MemoInsertNeverDisplacesAPartition) {
-  const size_t part_bytes = MakePartition(256).MemoryBytes();
-  PliCache cache(part_bytes + PliCache::kValueEntryBytes / 2,
-                 /*num_stripes=*/1);
-  PliCache::Stats st;
-  const PliCache::PartitionRef resident =
-      cache.Put(AttrSet(1), MakePartition(256), &st);
-  CHECK(resident != nullptr);
-  // No room for a value entry without evicting the partition: the memo is
-  // skipped, the resident ref stays valid, and the budget holds.
-  cache.PutEntropy(AttrSet(2), 5.0, &st);
-  CHECK(cache.Contains(AttrSet(1)));
-  CHECK_EQ(resident->NumRows(), size_t{256});
-  double h = 0.0;
-  CHECK(!cache.GetEntropy(AttrSet(2), &h));
-  CHECK_EQ(st.evictions, 0u);
-  CHECK(cache.bytes() <= cache.capacity_bytes());
-}
-
-TEST_CASE(MemoInsertHoldsTheTotalBudgetOnNearFullCache) {
-  // Partition fills the cache but leaves the memo quota nominally open:
-  // PutEntropy must still respect the TOTAL budget (skip, not overflow).
-  const size_t part_bytes = MakePartition(2048).MemoryBytes();
-  PliCache cache(part_bytes + PliCache::kValueEntryBytes / 2,
-                 /*num_stripes=*/1);
-  PliCache::Stats st;
-  CHECK(cache.Put(AttrSet(1), MakePartition(2048), &st) != nullptr);
-  cache.PutEntropy(AttrSet(2), 5.0, &st);
-  double h = 0.0;
-  CHECK(!cache.GetEntropy(AttrSet(2), &h));
-  CHECK(cache.Contains(AttrSet(1)));
-  CHECK(cache.bytes() <= cache.capacity_bytes());
-}
-
 TEST_CASE(RefreshingAKeyUpdatesBytesWithoutDoubleCounting) {
   PliCache cache(size_t{1} << 20, /*num_stripes=*/1);
   PliCache::Stats st;
@@ -283,25 +175,21 @@ TEST_CASE(BestSubsetReturnsWidestApplicableKey) {
   CHECK(key.Empty());
 }
 
-TEST_CASE(BestSubsetTracksEvictionDowngradeAndRefresh) {
+TEST_CASE(BestSubsetTracksEvictionAndRefresh) {
   const size_t entry_bytes = MakePartition(256).MemoryBytes();
   PliCache cache(3 * entry_bytes + entry_bytes / 2, /*num_stripes=*/1);
   PliCache::Stats st;
   cache.Put(AttrSet(0b011), MakePartition(256), &st);
-  cache.PutEntropy(AttrSet(0b011), 1.25, &st);  // memo → evicts to value-only
 
-  // Push the key out of the partition set; it downgrades to a value-only
-  // memo entry, which the subset index must forget.
+  // Push the key out of the cache; the subset index must forget it.
   cache.Put(AttrSet(0b100), MakePartition(256), &st);
   cache.Put(AttrSet(0b1000), MakePartition(256), &st);
   cache.Put(AttrSet(0b10000), MakePartition(256), &st);
   CHECK(!cache.Contains(AttrSet(0b011)));
-  double h = 0.0;
-  CHECK(cache.GetEntropy(AttrSet(0b011), &h));  // downgraded, not dropped
 
   AttrSet key;
   uint64_t candidates = 0;
-  // The width-2 downgraded key must NOT come back; the width-1 resident
+  // The width-2 evicted key must NOT come back; the width-1 resident
   // subset wins instead.
   const PliCache::PartitionRef ref =
       cache.BestSubset(AttrSet(0b111), &key, &candidates);
@@ -339,18 +227,16 @@ TEST_CASE(BestSubsetPromotesOnlyTheWinner) {
   CHECK(cache.Contains(AttrSet(0b110)));
 }
 
-// Eight threads of mixed Get/Put/memo traffic against a cache sized to
-// force constant eviction. Checks the concurrency contract:
+// Eight threads of mixed Get/Put traffic against a cache sized to force
+// constant eviction. Checks the concurrency contract:
 //   * bytes() <= capacity at EVERY observation (reservation-before-insert);
 //   * per-thread Stats fold exactly: hits + misses == the known number of
 //     Get calls issued across all threads;
 //   * returned refs stay readable under concurrent eviction (ASan/TSan
-//     make this a real check, not a formality);
-//   * memo values are never torn: a GetEntropy hit returns exactly the
-//     value some thread wrote for that key.
+//     make this a real check, not a formality).
 TEST_CASE(ConcurrentMixedTrafficHoldsInvariantsAndFoldsCountersExactly) {
   const size_t entry_bytes = MakePartition(128).MemoryBytes();
-  PliCache cache(6 * entry_bytes + PliCache::kValueEntryBytes * 8);
+  PliCache cache(6 * entry_bytes);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
   constexpr uint64_t kKeySpace = 24;  // >> resident capacity: churn
@@ -358,59 +244,30 @@ TEST_CASE(ConcurrentMixedTrafficHoldsInvariantsAndFoldsCountersExactly) {
   std::vector<PliCache::Stats> per_thread(kThreads);
   std::vector<uint64_t> gets_issued(kThreads, 0);
   std::atomic<bool> budget_ok{true};
-  std::atomic<bool> values_ok{true};
   std::atomic<bool> refs_ok{true};
-
-  const auto expected_value = [](uint64_t key_bits) {
-    return 0.5 + static_cast<double>(key_bits);
-  };
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       PliCache::Stats& st = per_thread[static_cast<size_t>(t)];
-      // SplitMix64 per-thread stream: deterministic, no shared RNG state.
-      uint64_t x = 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(t + 1);
-      const auto next = [&x] {
-        x += 0x9e3779b97f4a7c15ULL;
-        uint64_t z = x;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-      };
+      SplitMix64 rng{0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(t + 1)};
       for (int op = 0; op < kOpsPerThread; ++op) {
-        const uint64_t r = next();
+        const uint64_t r = rng.Next();
         const AttrSet key(uint64_t{1} << (r % kKeySpace));
-        switch ((r >> 32) % 4) {
-          case 0: {
-            const PliCache::PartitionRef ref = cache.Get(key, &st);
-            ++gets_issued[static_cast<size_t>(t)];
-            if (ref != nullptr && ref->NumRows() != 128) {
-              refs_ok.store(false, std::memory_order_relaxed);
-            }
-            break;
+        if (((r >> 32) & 1) == 0) {
+          const PliCache::PartitionRef ref = cache.Get(key, &st);
+          ++gets_issued[static_cast<size_t>(t)];
+          if (ref != nullptr && ref->NumRows() != 128) {
+            refs_ok.store(false, std::memory_order_relaxed);
           }
-          case 1: {
-            const PliCache::PartitionRef ref =
-                cache.Put(key, MakePartition(128), &st);
-            // Entry cost << capacity, so Put cannot reject; the returned
-            // pin must be readable even if evicted immediately after.
-            if (ref == nullptr || ref->NumRows() != 128) {
-              refs_ok.store(false, std::memory_order_relaxed);
-            }
-            break;
-          }
-          case 2:
-            cache.PutEntropy(key, expected_value(key.bits()), &st);
-            break;
-          default: {
-            double h = 0.0;
-            if (cache.GetEntropy(key, &h) &&
-                h != expected_value(key.bits())) {
-              values_ok.store(false, std::memory_order_relaxed);
-            }
-            break;
+        } else {
+          const PliCache::PartitionRef ref =
+              cache.Put(key, MakePartition(128), &st);
+          // Entry cost << capacity, so Put cannot reject; the returned
+          // pin must be readable even if evicted immediately after.
+          if (ref == nullptr || ref->NumRows() != 128) {
+            refs_ok.store(false, std::memory_order_relaxed);
           }
         }
         if (cache.bytes() > cache.capacity_bytes()) {
@@ -422,7 +279,6 @@ TEST_CASE(ConcurrentMixedTrafficHoldsInvariantsAndFoldsCountersExactly) {
   for (std::thread& th : threads) th.join();
 
   CHECK(budget_ok.load());
-  CHECK(values_ok.load());
   CHECK(refs_ok.load());
   CHECK(cache.bytes() <= cache.capacity_bytes());
 
@@ -441,6 +297,138 @@ TEST_CASE(ConcurrentMixedTrafficHoldsInvariantsAndFoldsCountersExactly) {
               static_cast<unsigned long long>(total_gets),
               static_cast<unsigned long long>(total.evictions),
               cache.bytes());
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST_CASE(EntropyMemoRoundTripsStoredValuesExactly) {
+  EntropyMemo memo(/*num_cols=*/10, /*budget_bytes=*/size_t{1} << 20);
+  CHECK_EQ(memo.num_slots(), size_t{1} << 10);  // identity index: no folds
+  double h = 0.0;
+  CHECK(!memo.Get(AttrSet(0b11), &h));  // never written
+
+  const double values[] = {0.0, 1.0 / 3.0, 4.9406564584124654e-324,
+                           9.999999999999998, 1e300};
+  for (size_t i = 0; i < 5; ++i) {
+    memo.Put(AttrSet(0b11 << i), values[i]);
+  }
+  for (size_t i = 0; i < 5; ++i) {
+    CHECK(memo.Get(AttrSet(0b11 << i), &h));
+    CHECK(SameBits(h, values[i]));
+  }
+  // A rewrite of the same key replaces the value.
+  memo.Put(AttrSet(0b11), 2.5);
+  CHECK(memo.Get(AttrSet(0b11), &h));
+  CHECK(SameBits(h, 2.5));
+}
+
+TEST_CASE(EntropyMemoCollisionNeverReturnsAnotherKeysValue) {
+  // Four slots over 64-column keys: the index folds two bits at a time.
+  EntropyMemo memo(/*num_cols=*/64, 4 * sizeof(EntropyMemo::Slot));
+  CHECK_EQ(memo.num_slots(), 4u);
+  // 0b01 and 0b0100 fold to the same slot; the later write overwrites.
+  const AttrSet a(0b01), b(0b0100);
+  double h = 0.0;
+  memo.Put(a, 1.0);
+  CHECK(!memo.Get(b, &h));
+  memo.Put(b, 2.0);
+  CHECK(!memo.Get(a, &h));
+  CHECK(memo.Get(b, &h));
+  CHECK(SameBits(h, 2.0));
+
+  // Many wide keys through four slots: every hit is the asked key's value,
+  // and the last write to each slot is still readable.
+  SplitMix64 rng{42};
+  std::vector<AttrSet> keys;
+  for (int i = 0; i < 256; ++i) keys.push_back(AttrSet(rng.Next() | 1));
+  const auto f = [](AttrSet k) { return static_cast<double>(k.bits() >> 11); };
+  for (AttrSet k : keys) memo.Put(k, f(k));
+  int hits = 0;
+  for (AttrSet k : keys) {
+    if (memo.Get(k, &h)) {
+      ++hits;
+      CHECK(SameBits(h, f(k)));
+    }
+  }
+  CHECK(hits >= 1);
+  CHECK(hits <= 4);
+}
+
+TEST_CASE(EntropyMemoSlotCountIsBoundedByWidthAndBudget) {
+  const size_t slot = sizeof(EntropyMemo::Slot);
+  // Narrow relations: 2^NumCols slots, however large the budget.
+  CHECK_EQ(EntropyMemo::SlotsFor(3, size_t{1} << 20), 8u);
+  CHECK_EQ(EntropyMemo::SlotsFor(14, size_t{64} << 20), size_t{1} << 14);
+  CHECK_EQ(EntropyMemo::SlotsFor(0, size_t{1} << 20), 1u);
+  // Wide relations: the largest power of two that fits the budget.
+  CHECK_EQ(EntropyMemo::SlotsFor(64, 100 * slot), 64u);
+  CHECK_EQ(EntropyMemo::SlotsFor(64, 128 * slot), 128u);
+  CHECK_EQ(EntropyMemo::SlotsFor(20, 100 * slot), 64u);
+  // Too small for one slot: an empty memo that never answers.
+  CHECK_EQ(EntropyMemo::SlotsFor(10, slot - 1), 0u);
+  EntropyMemo empty(10, slot - 1);
+  empty.Put(AttrSet(0b11), 1.0);
+  double h = 0.0;
+  CHECK(!empty.Get(AttrSet(0b11), &h));
+  CHECK_EQ(empty.bytes(), 0u);
+  // No shift by >= 64: the widest key set with the largest budget.
+  const size_t huge = EntropyMemo::SlotsFor(64, SIZE_MAX);
+  CHECK(huge != 0 && (huge & (huge - 1)) == 0);
+  CHECK(huge <= SIZE_MAX / slot);
+  CHECK(huge > SIZE_MAX / slot / 2);
+  // bytes() is what the table holds and never exceeds the budget.
+  EntropyMemo memo(64, 1000 * slot + slot / 2);
+  CHECK_EQ(memo.num_slots(), 512u);
+  CHECK_EQ(memo.bytes(), 512 * slot);
+}
+
+// Eight threads of Put/Get traffic over a small table shared by colliding
+// wide keys. Every hit must return exactly f(key) for the key asked:
+// never a torn value, never another key's value. Runs in the TSan lane,
+// which also checks that the slot protocol is race-free.
+TEST_CASE(EntropyMemoConcurrentPutGetOnlyReadsTheStoredValue) {
+  EntropyMemo memo(/*num_cols=*/64, 16 * sizeof(EntropyMemo::Slot));
+  CHECK_EQ(memo.num_slots(), 16u);
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 20000;
+  std::vector<AttrSet> keys;
+  SplitMix64 key_rng{7};
+  for (int i = 0; i < 64; ++i) keys.push_back(AttrSet(key_rng.Next() | 1));
+  const auto f = [](AttrSet k) {
+    return static_cast<double>(k.bits()) * 0.5 + 0.25;
+  };
+
+  std::atomic<bool> values_ok{true};
+  std::atomic<uint64_t> hits{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      SplitMix64 rng{0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(t + 1)};
+      uint64_t local_hits = 0;
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const uint64_t r = rng.Next();
+        const AttrSet key = keys[r % keys.size()];
+        if (((r >> 32) & 1) == 0) {
+          memo.Put(key, f(key));
+        } else {
+          double h = 0.0;
+          if (memo.Get(key, &h)) {
+            ++local_hits;
+            if (!SameBits(h, f(key))) {
+              values_ok.store(false, std::memory_order_relaxed);
+            }
+          }
+        }
+      }
+      hits.fetch_add(local_hits, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  CHECK(values_ok.load());
+  CHECK(hits.load() > 0);
+  std::printf("  %d threads x %d ops: %llu memo hits\n", kThreads,
+              kOpsPerThread, static_cast<unsigned long long>(hits.load()));
 }
 
 }  // namespace
