@@ -75,7 +75,11 @@ DecompositionAudit DecomposeAndAudit(const Relation& relation,
   // probe: each distinct row t is checked against the reduced store by the
   // definition of the natural join, ∀i: π_Ri(t) ∈ P_i — independent of
   // the enumeration. The sweep polls the same deadline as the join phases
-  // (every 1024 rows).
+  // (every 1024 rows). Both the distinct count and the membership sets are
+  // keyed on packed tuple strings on purpose, not on data/row_groups.h ids:
+  // this sweep is the independent oracle behind `matches_analytic` and
+  // `contains_original`, so it must not share the grouping code that the
+  // counting DP and the projection store run on.
   obs::Span probe_span(options.sink, "audit.probe");
   const std::vector<StoredProjection> reduced = executor.ReducedProjections();
   std::vector<std::unordered_set<std::string>> present(reduced.size());

@@ -2,11 +2,9 @@
 
 #include "decomp/projection_store.h"
 
-#include <string>
-#include <unordered_set>
 #include <utility>
 
-#include "join/join_tree.h"
+#include "data/row_groups.h"
 
 namespace maimon {
 
@@ -28,24 +26,18 @@ ProjectionStore::ProjectionStore(const Relation& relation,
     p.attrs = attrs;
     p.columns = attrs.ToVector();
 
-    // Bag projection, then hash-based distinct in row order: the projected
-    // columns are renumbered 0..k-1 but keep the original codes, so the
-    // distinct rows here are exactly the distinct projected rows of the
-    // source relation.
-    const Relation bag = relation.ProjectWithDuplicates(attrs);
+    // Distinct projected rows in first-occurrence order: the first row of
+    // each π_attrs group, codes copied verbatim.
     p.domains.reserve(p.columns.size());
-    for (int c = 0; c < bag.NumCols(); ++c) p.domains.push_back(bag.DomainSize(c));
-
-    std::unordered_set<std::string> seen;
-    seen.reserve(bag.NumRows());
-    std::vector<uint32_t> tuple(p.columns.size());
-    for (size_t r = 0; r < bag.NumRows(); ++r) {
-      for (int c = 0; c < bag.NumCols(); ++c) {
-        tuple[static_cast<size_t>(c)] = bag.Value(r, c);
+    for (int c : p.columns) p.domains.push_back(relation.DomainSize(c));
+    const RowGroups groups = GroupRows(relation, attrs);
+    p.rows.reserve(groups.NumGroups());
+    for (const uint32_t r : groups.first_row) {
+      std::vector<uint32_t> row(p.columns.size());
+      for (size_t k = 0; k < p.columns.size(); ++k) {
+        row[k] = relation.Value(r, p.columns[k]);
       }
-      if (seen.insert(PackFullTupleKey(tuple)).second) {
-        p.rows.push_back(tuple);
-      }
+      p.rows.push_back(std::move(row));
     }
     projections_.push_back(std::move(p));
   }

@@ -2,11 +2,12 @@
 //
 // ProjectionStore: the materialized side of a decomposition. For each
 // relation schema of a (mined) Schema it holds the deduplicated projection
-// of the dictionary-encoded Relation — hash-based distinct on top of
-// Relation::ProjectWithDuplicates — plus per-projection row/cell/byte
-// accounting. The accounting is the storage-savings S numerator, computed
-// from actually-materialized rows, so SavingsPct() must agree exactly with
-// the counting-based SchemaReport::savings_pct (decomp_test pins this).
+// of the dictionary-encoded Relation — the first row of each GroupRows
+// group (data/row_groups.h), copied out — plus per-projection
+// row/cell/byte accounting. The accounting is the storage-savings S
+// numerator, computed from actually-materialized rows, so SavingsPct() must
+// agree exactly with the counting-based SchemaReport::savings_pct
+// (decomp_test pins this).
 
 #ifndef MAIMON_DECOMP_PROJECTION_STORE_H_
 #define MAIMON_DECOMP_PROJECTION_STORE_H_

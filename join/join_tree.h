@@ -71,7 +71,8 @@ inline std::vector<int> PositionsOf(const std::vector<int>& columns,
 }
 
 /// Byte-packed key of the `positions`-projection of `tuple` — the hash key
-/// both join implementations use for separator matching.
+/// the materialized Yannakakis executor uses for separator matching (the
+/// counting DP in join/metrics.cc matches on row-group ids instead).
 inline std::string PackTupleKey(const std::vector<uint32_t>& tuple,
                                 const std::vector<int>& positions) {
   std::string key(positions.size() * sizeof(uint32_t), '\0');

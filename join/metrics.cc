@@ -2,38 +2,12 @@
 
 #include "join/metrics.h"
 
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "data/row_groups.h"
 #include "join/join_tree.h"
 
 namespace maimon {
-namespace {
-
-struct ProjectedRelation {
-  std::vector<int> attrs;                      // original column indices
-  std::vector<std::vector<uint32_t>> tuples;   // distinct projected rows
-};
-
-ProjectedRelation Project(const Relation& relation, AttrSet attrs) {
-  ProjectedRelation out;
-  out.attrs = attrs.ToVector();
-  std::unordered_set<std::string> seen;
-  std::vector<uint32_t> tuple(out.attrs.size());
-  for (size_t r = 0; r < relation.NumRows(); ++r) {
-    for (size_t i = 0; i < out.attrs.size(); ++i) {
-      tuple[i] = relation.Value(r, out.attrs[i]);
-    }
-    if (seen.insert(PackFullTupleKey(tuple)).second) {
-      out.tuples.push_back(tuple);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 SchemaReport EvaluateSchema(const Relation& relation, const Schema& schema,
                             const InfoCalc& oracle) {
@@ -44,14 +18,16 @@ SchemaReport EvaluateSchema(const Relation& relation, const Schema& schema,
   const size_t m = rels.size();
   if (m == 0 || relation.NumRows() == 0) return report;
 
-  // Distinct projections (the decomposed storage).
-  std::vector<ProjectedRelation> projections;
-  projections.reserve(m);
+  // Distinct projections (the decomposed storage), one row per distinct
+  // tuple of π_Ri(r): the first rows of its groups, in first-occurrence
+  // order.
+  std::vector<std::vector<uint32_t>> distinct_rows;
+  distinct_rows.reserve(m);
   size_t projected_cells = 0;
   for (AttrSet r : rels) {
-    projections.push_back(Project(relation, r));
-    projected_cells += projections.back().tuples.size() *
-                       projections.back().attrs.size();
+    distinct_rows.push_back(GroupRows(relation, r).first_row);
+    projected_cells += distinct_rows.back().size() *
+                       static_cast<size_t>(r.Count());
   }
   const size_t original_cells = relation.NumRows() *
                                 static_cast<size_t>(relation.NumCols());
@@ -87,54 +63,51 @@ SchemaReport EvaluateSchema(const Relation& relation, const Schema& schema,
     }
   }
 
-  // Exact acyclic-join row count: bottom-up counting DP. The message from
-  // child c to its parent maps separator values to the number of join
-  // results in c's subtree consistent with those values.
-  std::vector<std::unordered_map<std::string, double>> message(m);
+  // Separator groups per tree edge, over r: a parent tuple and a child
+  // tuple agree on the separator iff their first rows share a group id, so
+  // a message is a flat array indexed by that id.
+  std::vector<RowGroups> up_sep(m);
+  for (size_t v = 1; v < m; ++v) {
+    up_sep[v] = GroupRows(relation, rels[v].Intersect(
+                                        rels[static_cast<size_t>(parent[v])]));
+  }
+
+  // Exact acyclic-join row count: bottom-up counting DP. message[c][s] is
+  // the number of join results in c's subtree whose separator values are
+  // those of group s. Each node walks its distinct tuples in
+  // first-occurrence order, so every sum and product runs in a fixed
+  // sequence and the count is reproducible to the bit.
+  std::vector<std::vector<double>> message(m);
   for (size_t i = order.size(); i-- > 0;) {
-    const int v = order[i];
-    const ProjectedRelation& pv = projections[static_cast<size_t>(v)];
-    // Per-child separator positions within v's attribute list.
-    std::vector<std::vector<int>> child_pos;
-    for (int c : children[static_cast<size_t>(v)]) {
-      child_pos.push_back(PositionsOf(
-          pv.attrs, rels[static_cast<size_t>(v)].Intersect(
-                        rels[static_cast<size_t>(c)])));
-    }
-    std::vector<int> up_pos;
-    if (parent[static_cast<size_t>(v)] >= 0) {
-      up_pos = PositionsOf(
-          pv.attrs,
-          rels[static_cast<size_t>(v)].Intersect(
-              rels[static_cast<size_t>(parent[static_cast<size_t>(v)])]));
-    }
+    const size_t v = static_cast<size_t>(order[i]);
+    const bool is_root = parent[v] < 0;
+    if (!is_root) message[v].assign(up_sep[v].NumGroups(), 0.0);
     double total = 0.0;
-    for (const auto& tuple : pv.tuples) {
+    for (const uint32_t row : distinct_rows[v]) {
       double weight = 1.0;
-      for (size_t k = 0; k < children[static_cast<size_t>(v)].size(); ++k) {
-        const int c = children[static_cast<size_t>(v)][k];
-        const auto& msg = message[static_cast<size_t>(c)];
-        const auto it = msg.find(PackTupleKey(tuple, child_pos[k]));
-        weight *= it == msg.end() ? 0.0 : it->second;
+      for (const int c : children[v]) {
+        const size_t cc = static_cast<size_t>(c);
+        weight *= message[cc][up_sep[cc].group[row]];
         if (weight == 0.0) break;
       }
       if (weight == 0.0) continue;
-      if (parent[static_cast<size_t>(v)] >= 0) {
-        message[static_cast<size_t>(v)][PackTupleKey(tuple, up_pos)] += weight;
-      } else {
+      if (is_root) {
         total += weight;
+      } else {
+        message[v][up_sep[v].group[row]] += weight;
       }
     }
-    if (parent[static_cast<size_t>(v)] < 0) report.join_rows = total;
-    for (int c : children[static_cast<size_t>(v)]) {
-      message[static_cast<size_t>(c)].clear();  // release as we go
+    if (is_root) report.join_rows = total;
+    for (const int c : children[v]) {
+      message[static_cast<size_t>(c)] = {};  // release as we go
+      up_sep[static_cast<size_t>(c)] = {};
     }
   }
 
   // Spurious rate vs the distinct original rows (the join has set
   // semantics; exact decompositions land at E = 0).
   const double original_distinct =
-      static_cast<double>(Project(relation, universe).tuples.size());
+      static_cast<double>(GroupRows(relation, universe).NumGroups());
   if (report.join_rows > 0.0) {
     const double spurious = report.join_rows - original_distinct;
     report.spurious_pct =

@@ -1,10 +1,14 @@
 // Copyright (c) Maimon-cpp authors. Licensed under the MIT license.
 //
 // Schema quality metrics (Sec. 8): storage savings S, spurious-tuple rate
-// E, and the information-theoretic distance J of a decomposition. The join
-// size behind E is computed exactly with the acyclic-join counting DP over
-// the schema's join tree (maximum-overlap spanning tree) — no join is ever
-// materialized, so wide/near-product schemas stay cheap to score.
+// E, and the information-theoretic distance J of a decomposition. S and E
+// run on dense row-group ids (data/row_groups.h): |π_Ri(r)| is a group
+// count, and the join size behind E is computed exactly with the
+// acyclic-join counting DP over the schema's join tree (maximum-overlap
+// spanning tree), whose messages are flat arrays indexed by separator
+// group id. No projection or join is materialized and no tuple is hashed,
+// so wide/near-product schemas stay cheap to score. J asks the entropy
+// oracle.
 
 #ifndef MAIMON_JOIN_METRICS_H_
 #define MAIMON_JOIN_METRICS_H_

@@ -3,9 +3,10 @@
 // SchemeRanker: score mined acyclic schemes with the Sec. 8 S/E/J quality
 // metrics (join/metrics.h — exact acyclic-join counting, no
 // materialization) and return the top-k under a configurable primary key.
-// Scoring a scheme is the expensive step (a counting DP over its join
-// tree), so ranking is deadline-bounded: on expiry the schemes scored so
-// far are ranked and returned with kDeadlineExceeded.
+// Scoring costs a few row-grouping passes over the relation per scheme
+// plus the J entropy queries, and the scheme list can be long, so ranking
+// is deadline-bounded: on expiry the schemes scored so far are ranked and
+// returned with kDeadlineExceeded.
 
 #ifndef MAIMON_SCHEME_RANKER_H_
 #define MAIMON_SCHEME_RANKER_H_

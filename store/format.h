@@ -124,7 +124,7 @@ struct ProjColEntry {
 };
 static_assert(sizeof(ProjColEntry) == 16, "column entry layout drifted");
 
-/// CRC32 (IEEE reflected polynomial, table-driven) of `len` bytes.
+/// CRC32 (IEEE reflected polynomial, slicing-by-8 tables) of `len` bytes.
 uint32_t Crc32(const void* data, size_t len);
 
 /// FNV-1a running hash; fold `value` into `hash` (seed with kFnvBasis).

@@ -5,14 +5,18 @@
 // 12,960 x 9 product with a determined class column).
 
 #include <cstdio>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "data/metanome_shapes.h"
 #include "data/nursery.h"
 #include "data/planted.h"
 #include "data/relation_io.h"
+#include "data/row_groups.h"
 #include "entropy/pli_engine.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace maimon {
 namespace {
@@ -179,6 +183,84 @@ TEST_CASE(CsvImportEnforcesTheAttributeWidthLimit) {
   WriteWideCsv(path, AttrSet::kMaxAttrs + 1);
   CHECK(ImportCsv(path, &back).code() == Status::Code::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+// Uniform random codes per column: column c draws from [0, domains[c]).
+Relation RandomRelation(size_t rows, const std::vector<uint32_t>& domains,
+                        uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<uint32_t>> columns(domains.size());
+  for (size_t c = 0; c < domains.size(); ++c) {
+    for (size_t r = 0; r < rows; ++r) {
+      columns[c].push_back(static_cast<uint32_t>(rng.Uniform(domains[c])));
+    }
+  }
+  return Relation(std::move(columns), domains);
+}
+
+// GroupRows against a std::map grouping: ids numbered in row order on the
+// first sighting of each projected tuple, for every attribute subset.
+void CheckGroupRowsAgainstMap(const Relation& relation) {
+  for (uint64_t mask = 0; mask < (uint64_t{1} << relation.NumCols());
+       ++mask) {
+    const AttrSet attrs(mask);
+    const std::vector<int> cols = attrs.ToVector();
+    std::map<std::vector<uint32_t>, uint32_t> ids;
+    std::vector<uint32_t> want_group;
+    std::vector<uint32_t> want_first;
+    for (size_t r = 0; r < relation.NumRows(); ++r) {
+      std::vector<uint32_t> tuple;
+      for (int c : cols) tuple.push_back(relation.Value(r, c));
+      const auto [it, inserted] =
+          ids.emplace(tuple, static_cast<uint32_t>(ids.size()));
+      if (inserted) want_first.push_back(static_cast<uint32_t>(r));
+      want_group.push_back(it->second);
+    }
+    const RowGroups got = GroupRows(relation, attrs);
+    CHECK_EQ(got.group, want_group);
+    CHECK_EQ(got.first_row, want_first);
+    CHECK_EQ(got.NumGroups(), ids.size());
+  }
+}
+
+TEST_CASE(GroupRowsNumbersGroupsInFirstOccurrenceOrder) {
+  // Rows (A, B): (1,0) (0,0) (1,0) (0,1) (0,0).
+  const Relation r({{1, 0, 1, 0, 0}, {0, 0, 0, 1, 0}}, {2, 2});
+  const RowGroups ab = GroupRows(r, AttrSet(0b11));
+  CHECK_EQ(ab.group, (std::vector<uint32_t>{0, 1, 0, 2, 1}));
+  CHECK_EQ(ab.first_row, (std::vector<uint32_t>{0, 1, 3}));
+  const RowGroups b = GroupRows(r, AttrSet(0b10));
+  CHECK_EQ(b.group, (std::vector<uint32_t>{0, 0, 0, 1, 0}));
+  CHECK_EQ(b.first_row, (std::vector<uint32_t>{0, 3}));
+
+  // The empty attribute set: one group of every row; none without rows.
+  const RowGroups none = GroupRows(r, AttrSet());
+  CHECK_EQ(none.group, (std::vector<uint32_t>(5, 0)));
+  CHECK_EQ(none.first_row, (std::vector<uint32_t>{0}));
+  const Relation empty({{}, {}}, {2, 2});
+  CHECK_EQ(GroupRows(empty, AttrSet()).NumGroups(), size_t{0});
+  CHECK_EQ(GroupRows(empty, AttrSet(0b11)).NumGroups(), size_t{0});
+  CHECK(GroupRows(empty, AttrSet(0b11)).group.empty());
+}
+
+TEST_CASE(GroupRowsMatchesAMapGroupingOnBothPaths) {
+  // Small domains: groups * domain stays <= 4 * rows, the direct path.
+  CheckGroupRowsAgainstMap(RandomRelation(400, {2, 3, 4, 2, 5}, 11));
+  // Wide domains on few rows: every refinement goes through the hash table,
+  // including codes next to 2^32 (the packed key nears 2^64).
+  CheckGroupRowsAgainstMap(RandomRelation(200, {1000, 3, 5000}, 12));
+  CheckGroupRowsAgainstMap(
+      RandomRelation(150, {4, 0xffffffffu, 0xfffffff0u}, 13));
+  // Mixed: small domains, then a key-like column (150 values over 300
+  // rows) that turns hashed once the small columns have split the rows,
+  // and an all-distinct column (a permutation) that ends refinement early.
+  const Relation base = RandomRelation(300, {3, 6, 150, 4}, 14);
+  std::vector<uint32_t> permutation(300);
+  for (uint32_t r = 0; r < 300; ++r) permutation[r] = (r * 7919u) % 300u;
+  CheckGroupRowsAgainstMap(
+      Relation({base.Column(0), base.Column(1), permutation, base.Column(2),
+                base.Column(3)},
+               {3, 6, 300, 150, 4}));
 }
 
 TEST_CASE(NurseryMatchesThePaperShape) {

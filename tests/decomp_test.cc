@@ -371,6 +371,20 @@ TEST_CASE(ProjectionStoreAccountingAndExport) {
     cells += p.Cells();
     bytes += p.Bytes();
 
+    // The rows are the distinct projected tuples in first-occurrence order
+    // (the order store files serialize), under the source's domains.
+    std::set<std::vector<uint32_t>> seen;
+    std::vector<std::vector<uint32_t>> first_seen;
+    for (size_t r = 0; r < d.relation.NumRows(); ++r) {
+      std::vector<uint32_t> tuple;
+      for (int c : p.columns) tuple.push_back(d.relation.Value(r, c));
+      if (seen.insert(tuple).second) first_seen.push_back(tuple);
+    }
+    CHECK(p.rows == first_seen);
+    for (size_t k = 0; k < p.columns.size(); ++k) {
+      CHECK_EQ(p.domains[k], d.relation.DomainSize(p.columns[k]));
+    }
+
     // ToRelation round-trips the stored rows (codes preserved verbatim).
     const Relation rel = p.ToRelation();
     CHECK_EQ(rel.NumRows(), p.NumRows());

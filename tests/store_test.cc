@@ -100,6 +100,37 @@ void CheckStoresIdentical(const ProjectionStore& got,
   }
 }
 
+TEST_CASE(Crc32IsTheIeeeCrcAtEveryLengthAndAlignment) {
+  // The standard check value, so stores stay verifiable with any
+  // IEEE-CRC32 tool (zlib, gzip, Python's binascii.crc32).
+  CHECK_EQ(store::Crc32("123456789", 9), 0xCBF43926u);
+  CHECK_EQ(store::Crc32("", 0), 0u);
+  // Against the bit-at-a-time definition, over every length that mixes
+  // whole 8-byte blocks with a tail, at every start offset mod 8.
+  const auto bitwise = [](const unsigned char* p, size_t len) {
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t i = 0; i < len; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::vector<unsigned char> bytes(80);
+  uint32_t x = 12345;
+  for (unsigned char& b : bytes) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len + offset <= bytes.size(); ++len) {
+      CHECK_EQ(store::Crc32(bytes.data() + offset, len),
+               bitwise(bytes.data() + offset, len));
+    }
+  }
+}
+
 TEST_CASE(RoundTripIsByteIdenticalOnChainFixtures) {
   for (int attrs : {4, 7, 10}) {
     const Relation r = MakeRelation(attrs, 100 + static_cast<uint64_t>(attrs));
