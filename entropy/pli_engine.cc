@@ -33,8 +33,7 @@ PliEntropyEngine::PliEntropyEngine(const Relation& relation,
       memo_(std::make_shared<EntropyMemo>(
           relation.NumCols(), core_->options().cache_capacity_bytes / 8)),
       cache_(std::make_shared<PliCache>(
-          core_->options().cache_capacity_bytes - memo_->bytes(),
-          core_->options().cache_stripes)) {}
+          core_->options().cache_capacity_bytes - memo_->bytes())) {}
 
 PliEntropyEngine::PliEntropyEngine(std::shared_ptr<const PliSharedCore> core,
                                    std::shared_ptr<EntropyMemo> memo,

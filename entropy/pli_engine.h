@@ -67,9 +67,6 @@ struct PliEngineOptions {
   /// engine handle forked from the same core shares both, so no bytes are
   /// sliced away or stranded per worker.
   size_t cache_capacity_bytes = size_t{64} << 20;
-  /// Lock stripes for the shared cache; <= 0 picks the default (16). One
-  /// stripe gives exact global LRU order (useful in tests).
-  int cache_stripes = 0;
 };
 
 /// The immutable half of the engine: everything every worker reads and no

@@ -76,19 +76,53 @@ if [[ "${asan}" -eq 1 ]]; then
   ctest --test-dir "${asan_dir}" --output-on-failure -j "${jobs}" -LE slow
 fi
 
-# The committed figure snapshots (bench-smoke outputs) must stay parseable
-# JSONL with non-empty rows and unique row identities — a bad merge or a
-# bench output-format drift fails here, not when someone plots them. The
-# same tool compares fresh smoke runs against these baselines in CI
-# (scripts/bench_trend.py without --check-baselines).
+# The committed snapshots must stay parseable JSONL with non-empty rows and
+# unique row identities — a bad merge or a bench output-format drift fails
+# here, not when someone plots them. The same tool compares fresh runs
+# against these baselines in CI (scripts/bench_trend.py without
+# --check-baselines). BENCH_serve.json is one perfbench serve-nursery line
+# and the only serve speed gate, so the gate also runs on doctored copies
+# of it, and each must fail: a parsing slip cannot turn it into a no-op.
 if command -v python3 >/dev/null 2>&1; then
   echo "--- BENCH snapshots parse (bench_trend.py --check-baselines) ---"
   python3 "${repo_root}/scripts/bench_trend.py" --check-baselines \
           "${repo_root}/BENCH_fig13.json" "${repo_root}/BENCH_fig14.json" \
-          "${repo_root}/BENCH_fig15.json" "${repo_root}/BENCH_serve.json" \
-          "${repo_root}/BENCH_store.json"
+          "${repo_root}/BENCH_fig15.json" "${repo_root}/BENCH_serve.json"
+  echo "--- serve gate self-test (bench_trend.py vs doctored snapshots) ---"
+  python3 - "${repo_root}" <<'PY'
+import json, os, subprocess, sys, tempfile
+snap = os.path.join(sys.argv[1], "BENCH_serve.json")
+gate = [sys.executable,
+        os.path.join(sys.argv[1], "scripts", "bench_trend.py"), snap]
+
+def scale(name, factor):
+    return lambda line: line["metrics"][name].update(
+        value=line["metrics"][name]["value"] * factor)
+
+run = subprocess.run(gate + [snap], stdout=subprocess.PIPE, text=True)
+assert run.returncode == 0, "snapshot fails against itself:\n" + run.stdout
+print("  BENCH_serve.json vs itself: passes")
+cases = [("join_p50_us x1.5", scale("join_p50_us", 1.5),
+          "REGRESSION join_p50_us"),
+         ("qps_1c x0.5", scale("qps_1c", 0.5), "REGRESSION qps_1c"),
+         ("correct false", lambda line: line.update(correct=False),
+          "correct is not true")]
+with tempfile.TemporaryDirectory() as tmp:
+    for label, edit, expect in cases:
+        line = json.load(open(snap))
+        edit(line)
+        doctored = os.path.join(tmp, "doctored.json")
+        with open(doctored, "w") as f:
+            f.write(json.dumps(line) + "\n")
+        run = subprocess.run(gate + [doctored], stdout=subprocess.PIPE,
+                             text=True)
+        assert run.returncode == 1 and expect in run.stdout, (
+            f"{label}: gate exited {run.returncode}, want 1 with "
+            f"'{expect}':\n{run.stdout}")
+        print(f"  {label}: gate fails ({expect})")
+PY
 else
-  echo "--- python3 absent: BENCH snapshot parse check skipped"
+  echo "--- python3 absent: BENCH snapshot checks skipped"
 fi
 
 # storectl round trip: pack a store (budgeted Nursery mine) and inspect it

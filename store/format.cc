@@ -48,6 +48,20 @@ uint32_t LoadLe32(const unsigned char* p) {
 
 }  // namespace
 
+std::string SectionKindName(uint32_t kind) {
+  switch (kind) {
+    case kMeta: return "meta";
+    case kNames: return "names";
+    case kSchema: return "schema";
+    case kJoinTree: return "join_tree";
+    case kMvds: return "mvds";
+    case kProjTable: return "proj_table";
+    case kProjCols: return "proj_cols";
+    case kColumnData: return "column_data";
+    default: return "kind " + std::to_string(kind);
+  }
+}
+
 uint32_t Crc32(const void* data, size_t len) {
   const CrcTables& t = CrcTable();
   const unsigned char* p = static_cast<const unsigned char*>(data);

@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace maimon {
 namespace store {
@@ -56,6 +57,10 @@ enum SectionKind : uint32_t {
   kProjCols = 7,    // ProjColEntry per stored column, projection-major
   kColumnData = 8,  // concatenated u32 column arrays, each 8-aligned
 };
+
+/// Printable name of a section kind ("meta", "join_tree", ...); an unknown
+/// kind prints as "kind N".
+std::string SectionKindName(uint32_t kind);
 
 /// Fixed 64-byte file header. `header_crc` is CRC32 over these 64 bytes
 /// with the header_crc field itself zeroed.

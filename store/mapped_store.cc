@@ -25,20 +25,6 @@ T ReadPod(const unsigned char* p) {
   return out;
 }
 
-std::string KindName(uint32_t kind) {
-  switch (kind) {
-    case kMeta: return "meta";
-    case kNames: return "names";
-    case kSchema: return "schema";
-    case kJoinTree: return "join_tree";
-    case kMvds: return "mvds";
-    case kProjTable: return "proj_table";
-    case kProjCols: return "proj_cols";
-    case kColumnData: return "column_data";
-    default: return "kind " + std::to_string(kind);
-  }
-}
-
 }  // namespace
 
 MappedStore::~MappedStore() { Close(); }
@@ -135,7 +121,7 @@ Status MappedStore::Open(const std::string& path, MappedStore* out,
         entry.length > size || entry.offset + entry.length > size ||
         entry.offset < sizeof(Header) + table_bytes) {
       ::munmap(map, size);
-      return Status::DataLoss("store: section " + KindName(entry.kind) +
+      return Status::DataLoss("store: section " + SectionKindName(entry.kind) +
                               " out of bounds (offset " +
                               std::to_string(entry.offset) + ", length " +
                               std::to_string(entry.length) + ")");
@@ -172,7 +158,7 @@ Status MappedStore::Section(uint32_t kind, const unsigned char** data,
   }
   const SectionEntry* entry = Find(kind);
   if (entry == nullptr) {
-    return Status::DataLoss("store: missing section " + KindName(kind));
+    return Status::DataLoss("store: missing section " + SectionKindName(kind));
   }
   const size_t index = static_cast<size_t>(entry - sections_.data());
   if (validated_[index] == 0) {
@@ -181,7 +167,7 @@ Status MappedStore::Section(uint32_t kind, const unsigned char** data,
     // Open, so the hash itself cannot read out of the mapping.
     if (Crc32(base_ + entry->offset, entry->length) != entry->crc) {
       return Status::DataLoss("store: CRC mismatch in section " +
-                              KindName(kind));
+                              SectionKindName(kind));
     }
     validated_[index] = 1;
   }

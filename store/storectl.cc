@@ -49,20 +49,6 @@ int Usage() {
   return 2;
 }
 
-const char* SectionKindName(uint32_t kind) {
-  switch (kind) {
-    case store::kMeta: return "meta";
-    case store::kNames: return "names";
-    case store::kSchema: return "schema";
-    case store::kJoinTree: return "join_tree";
-    case store::kMvds: return "mvds";
-    case store::kProjTable: return "proj_table";
-    case store::kProjCols: return "proj_cols";
-    case store::kColumnData: return "column_data";
-    default: return "?";
-  }
-}
-
 int RunPack(int argc, char** argv) {
   std::string out_path;
   std::string dataset = "nursery";
@@ -223,7 +209,8 @@ int RunInspect(int argc, char** argv) {
   std::printf("  %-12s %10s %10s %10s\n", "kind", "offset", "length", "crc");
   for (const store::SectionEntry& e : mapped.sections()) {
     std::printf("  %-12s %10" PRIu64 " %10" PRIu64 "   %08" PRIx32 "\n",
-                SectionKindName(e.kind), e.offset, e.length, e.crc);
+                store::SectionKindName(e.kind).c_str(), e.offset, e.length,
+                e.crc);
   }
 
   store::MetaSection meta;

@@ -352,6 +352,10 @@ TEST_CASE(BadSectionCrcIsDataLossOnAccessNotOpen) {
   const Status s = mapped.ReadMeta(&ms);
   CHECK(!s.ok());
   CHECK(s.code() == Status::Code::kDataLoss);
+  // The message names the section through the one kind-name table, which
+  // storectl inspect prints too; an unknown kind prints its number.
+  CHECK(s.message() == "store: CRC mismatch in section meta");
+  CHECK(store::SectionKindName(99) == "kind 99");
   // The poisoned section also fails the full load (and keeps failing on
   // retry — invalid verdicts are never cached as valid).
   ProjectionStore loaded(std::vector<StoredProjection>(), 0);
